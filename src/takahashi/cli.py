@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .claims import FAIL, grid_rationals, run_claims
@@ -18,6 +19,7 @@ from .grouppres import cyclic_presentation, takahashi_presentation
 from .knotkit import (
     BraidWord3,
     alexander_from_braid3,
+    alexander_two_bridge,
     branched_cover_homology,
     normalize_two_bridge,
     two_bridge_equivalent,
@@ -163,8 +165,6 @@ def cmd_cover_order(args) -> int:
     k = normalize_two_bridge(args.alpha, args.beta)
     if not k.is_knot:
         raise ValueError(f"alpha must be odd (a knot); {k} is a two-component link")
-    from .knotkit import alexander_two_bridge
-
     g = branched_cover_homology(alexander_two_bridge(k), args.n)
     if args.json:
         emit_json({"alpha": k.alpha, "beta": k.beta, "n": args.n, **group_fields(g)})
@@ -344,8 +344,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A negative coefficient such as -2/3 or -inf, which argparse would read
+# as an option: it only takes -k for a positional.
+_NEGATIVE_COEFFICIENT = re.compile(r"-(inf|\d+(/[+-]?\d+)?)", re.IGNORECASE)
+
+
+def _coefficients_as_positionals(argv: list[str]) -> list[str]:
+    """Let h1 and presentation take negative coefficients without "--".
+
+    Their options are all flags, so the options move to the front and the
+    positionals follow a "--"; any other command line is left alone.
+    """
+    if argv[:1] not in (["h1"], ["presentation"]) or "--" in argv:
+        return argv
+    options, positionals = [], []
+    for a in argv[1:]:
+        if a.startswith("-") and not _NEGATIVE_COEFFICIENT.fullmatch(a):
+            options.append(a)
+        else:
+            positionals.append(a)
+    return [argv[0], *options, "--", *positionals]
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_coefficients_as_positionals(argv))
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

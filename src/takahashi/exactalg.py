@@ -2,9 +2,10 @@
 fraction-free determinants, integer and Laurent polynomials, resultants,
 and invariant-factor decompositions of finitely generated abelian groups.
 
-Matrices in this package stay small (a few dozen rows at most) but their
-entries can grow exponentially during elimination, so determinants use
-Bareiss' exact-division scheme and the Smith reduction pivots on gcds.
+Relation matrices have 2n rows for M_n, a few hundred in practice, and
+their entries can grow exponentially during elimination, so determinants
+use Bareiss' exact-division scheme and the Smith reduction pivots on gcds.
+Resultants build no matrix: they run the subresultant remainder sequence.
 Everything is an immutable value and every operation is a pure function;
 Python ints give arbitrary precision for free.
 """
@@ -281,7 +282,14 @@ def cokernel(m: BigIntMatrix) -> AbelianGroup:
 
 
 def determinant(m: BigIntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Each step rewrites the rows below the pivot one whole row at a time.
+    The division by the previous pivot is exact by the Desnanot-Jacobi
+    identity, so a row with a zero in the pivot column only needs
+    rescaling, and none at all when the pivot repeats.  Columns left of
+    the pivot are never read again and keep stale entries.
+    """
     if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
     n = m.nrows
@@ -297,12 +305,15 @@ def determinant(m: BigIntMatrix) -> int:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Desnanot-Jacobi identity
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        p = a[k][k]
+        tail = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            c = row[k]
+            if c:
+                row[k + 1 :] = [(x * p - c * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif p != prev:
+                row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
+        prev = p
     return sign * a[-1][-1]
 
 
@@ -406,10 +417,46 @@ def poly_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly(tuple(quo)), IntPoly(tuple(rem))
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant via the Sylvester determinant (Bareiss underneath).
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, with
+    coefficient lists lowest degree first, deg a >= deg b >= 1, and
+    trailing zeros stripped from the result.
 
-    Sign convention: the deg(g) rows of f coefficients sit on top, so
+    Only the deg b + 1 coefficients under the divisor are kept scaled;
+    a lower coefficient takes its power of lc(b) when the divisor reaches
+    it, so each step costs O(deg b) products.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    scale = 1
+    for i in range(len(a) - 1, db - 1, -1):
+        lo = i - db
+        r[lo] *= scale
+        c = r[i]
+        for j in range(db):
+            r[lo + j] = lb * r[lo + j] - c * b[j]
+        scale *= lb
+    del r[db:]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def resultant(f: IntPoly, g: IntPoly) -> int:
+    """Resultant by the subresultant polynomial remainder sequence
+    (Collins 1967; Brown-Traub 1971; Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7).
+
+    Contents are stripped first; each pseudo-remainder is then divided
+    exactly by l * h^delta, where l is the leading coefficient of the
+    previous divisor, delta the drop in degree and h the running scale of
+    the sequence, which keeps the coefficients as small as the
+    subresultants.  Against a divisor of degree d, a degree-n polynomial
+    costs O(n d) coefficient operations.
+
+    Sign convention: that of the Sylvester determinant with the deg(g)
+    rows of f coefficients on top, so
     resultant(g, f) == (-1)**(deg f * deg g) * resultant(f, g).  Callers
     that compare group orders take absolute values.
     """
@@ -417,14 +464,35 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         raise ValueError("resultant of two zero polynomials is undefined")
     if f.is_zero or g.is_zero:
         return 0
-    m, n = f.degree, g.degree
-    if m + n == 0:
-        return 1
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
-    return determinant(BigIntMatrix.from_rows(rows))
+    a, b = list(f.coeffs), list(g.coeffs)
+    da, db = len(a) - 1, len(b) - 1
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            sign = -1
+    if db == 0:
+        return sign * b[0] ** da
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    content = ca**db * cb**da
+    lead = h = 1
+    while True:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        a, b = b, [x // divisor for x in r]
+        da, db = db, len(r) - 1
+        lead = a[-1]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+        if db == 0:
+            return sign * content * (b[0] ** da // h ** (da - 1))
 
 
 def cyclotomic_quotient(n: int) -> IntPoly:

@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own elimination code: determinants
-by brute-force cofactor expansion, ranks by Gaussian elimination over
-F_p, and root-of-unity products in floating point.
+by brute-force cofactor expansion or by Gaussian elimination over the
+rationals, resultants as Sylvester determinants, ranks by Gaussian
+elimination over F_p, and root-of-unity products in floating point.
 """
 
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -24,6 +26,38 @@ def cofactor_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * c * cofactor_det(minor)
     return total
+
+
+def fraction_det(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over Q with exact fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def sylvester_resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of two nonzero coefficient lists (lowest degree first, no
+    trailing zeros) as the determinant of the Sylvester matrix, deg g rows
+    of f coefficients on top of deg f rows of g coefficients."""
+    m, n = len(f) - 1, len(g) - 1
+    fc, gc = f[::-1], g[::-1]
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return fraction_det(rows)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -79,6 +79,35 @@ def test_bad_zero_over_zero_exit_code_2(capsys):
     assert err.value.code == 2
 
 
+def test_h1_negative_fraction_coefficient(capsys):
+    # -2/3 is a coefficient, not an option, wherever --json stands
+    from takahashi.manifolds import h1_takahashi, normalize_spec
+
+    expected = h1_takahashi(normalize_spec(3, Rational(-2, 3), Rational(-1, 2)))
+    for argv in (["h1", "3", "-2/3", "-1/2", "--json"],
+                 ["h1", "--json", "3", "-2/3", "-1/2"],
+                 ["h1", "--json", "--", "3", "-2/3", "-1/2"]):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["pq"], doc["rs"]) == ("2/-3", "1/-2")
+        assert AbelianGroup(tuple(doc["torsion"]), doc["freeRank"]) == expected
+
+
+def test_h1_negative_infinite_coefficient(capsys):
+    rc, out, _ = run(capsys, "h1", "3", "1/0", "-inf")
+    assert rc == 0
+    assert out == run(capsys, "h1", "3", "1/0", "inf")[1]
+    assert "M_3(inf, inf)" in out
+
+
+def test_negative_coefficient_keeps_usage_errors(capsys):
+    for argv in (["h1", "3", "-2/3"], ["h1", "3", "-2/3", "1", "--bogus"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
+
 # ---------------------------------------------------------------- presentation
 
 def test_presentation_smallest_case(capsys):
@@ -93,6 +122,15 @@ def test_presentation_cyclic_fibonacci(capsys):
     rc, out, _ = run(capsys, "presentation", "3", "1", "-1", "--cyclic")
     assert rc == 0
     assert "z1 z2^-1 z1 z3^-1 z1" in out
+
+
+def test_presentation_negative_coefficients(capsys):
+    rc, out, _ = run(capsys, "presentation", "2", "-3/2", "1", "--cyclic", "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["pq"], doc["cyclic"]) == ("3/-2", True)
+    assert doc == json.loads(run(capsys, "presentation", "--cyclic", "--json", "--",
+                                 "2", "-3/2", "1")[1])
 
 
 def test_presentation_cyclic_needs_r_one(capsys):

@@ -18,7 +18,13 @@ from takahashi.exactalg import (
     smith_normal_form,
 )
 
-from oracles import cofactor_det, rank_mod_p, unity_root_abs_product
+from oracles import (
+    cofactor_det,
+    fraction_det,
+    rank_mod_p,
+    sylvester_resultant,
+    unity_root_abs_product,
+)
 
 
 # ---------------------------------------------------------------- rationals
@@ -129,6 +135,23 @@ def test_determinant_matches_cofactor_oracle():
         assert determinant(BigIntMatrix.from_rows(rows)) == cofactor_det(rows)
 
 
+def test_determinant_matches_fraction_elimination_random():
+    # sparse rows make zero pivots, zero pivot-column entries and repeated
+    # pivots; a row made a multiple of another makes the matrix singular
+    rng = random.Random(20261018)
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        big = rng.choice((3, 10**9))
+        rows = [[rng.randint(-big, big) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [c * y for y in rows[j]]
+        assert determinant(BigIntMatrix.from_rows(rows, ncols=n)) == fraction_det(rows)
+
+
 # ------------------------------------------------------------- polynomials
 
 def test_intpoly_strips_leading_zeros():
@@ -198,6 +221,31 @@ def test_resultant_swap_sign():
     f = IntPoly((1, -3, 1))
     g = IntPoly((2, 0, 1, 1))
     assert resultant(g, f) == (-1) ** (f.degree * g.degree) * resultant(f, g)
+
+
+def _random_poly(rng, degree, bound):
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or rng.choice((-1, 1)) * bound
+    return IntPoly(tuple(coeffs))
+
+
+def test_resultant_matches_sylvester_oracle_random():
+    # exact equality, sign included: degrees 0-8 (constants among them),
+    # coefficients up to 10^12, and a forced common factor in a fifth of
+    # the pairs, where the resultant must vanish
+    rng = random.Random(3307)
+    for _ in range(400):
+        bound = rng.choice((1, 5, 10**4, 10**12))
+        f = _random_poly(rng, rng.randint(0, 8), bound)
+        g = _random_poly(rng, rng.randint(0, 8), bound)
+        shared = rng.random() < 0.2
+        if shared:
+            h = _random_poly(rng, rng.randint(1, 3), 5)
+            f, g = f * h, g * h
+        expected = sylvester_resultant(list(f.coeffs), list(g.coeffs))
+        assert resultant(f, g) == expected
+        if shared:
+            assert expected == 0
 
 
 def test_resultant_multiplicative_up_to_sign():

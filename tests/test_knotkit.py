@@ -361,3 +361,12 @@ def test_cover_order_routes_agree():
             if res_order is not None:
                 approx = nontrivial_unity_root_abs_product(list(delta.poly.coeffs), n)
                 assert abs(approx - res_order) <= 1e-6 * max(1.0, res_order)
+
+
+def test_cover_order_trefoil_large_n():
+    # n-fold covers of the trefoil by n mod 6: orders 1, 3, 4, 3, 1 and
+    # infinite at 6 | n
+    delta = alexander_two_bridge(TwoBridge(3, 1))
+    by_residue = {1: 1, 2: 3, 3: 4, 4: 3, 5: 1, 0: None}
+    for n in range(2000, 2006):
+        assert branched_cover_order(delta, n) == by_residue[n % 6]

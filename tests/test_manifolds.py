@@ -206,3 +206,13 @@ def test_lemma1_grid():
         for b in grid:
             spec = normalize_spec(1, a, b)
             assert h1_takahashi(spec) == base_space_h1(spec.pq, spec.rs)
+
+
+def test_representer_order_fibonacci_family_large_n():
+    # |H_1(M_n(1, -1))| = L_2n - 2; a Sylvester determinant of size 2002
+    # would take minutes, the remainder sequence takes milliseconds
+    n = 2000
+    a, b = 2, 1
+    for _ in range(2 * n):
+        a, b = b, a + b
+    assert representer_order(normalize_spec(n, Rational(1, 1), Rational(-1, 1))) == a - 2
