@@ -31,9 +31,9 @@ from .grouppres import (
     cyclic_presentation,
     cyclic_presentation_rewritten,
     free_reduce,
-    h1_from_presentation,
     relator_identity_check,
     representer_polynomial,
+    takahashi_matrix,
     takahashi_presentation,
 )
 from .knotkit import (
@@ -52,16 +52,16 @@ from .knotkit import (
     two_bridge_presentation,
 )
 from .manifolds import (
-    BranchData,
     TakahashiSpec,
     base_space_h1,
-    branch_data,
     branch_knot,
     cross_check_prop4,
     h1_cyclic_route,
     h1_takahashi,
     normalize_spec,
+    representer_order,
     symmetry_check,
+    takahashi_determinant,
 )
 
 __version__ = "0.1.0"

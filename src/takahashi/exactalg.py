@@ -333,10 +333,6 @@ class IntPoly:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -377,14 +373,6 @@ class IntPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly(tuple(out))
-
-    def shifted(self, k: int) -> "IntPoly":
-        """Multiply by t^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"

@@ -8,16 +8,9 @@ forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .exactalg import (
-    AbelianGroup,
-    BigIntMatrix,
-    IntPoly,
-    Rational,
-    cokernel,
-    normalize_up_to_units,
-)
+from .exactalg import BigIntMatrix, IntPoly, Rational, normalize_up_to_units
 
 __all__ = [
     "Word",
@@ -26,11 +19,11 @@ __all__ = [
     "free_reduce",
     "abelianize",
     "takahashi_presentation",
+    "takahashi_matrix",
     "cyclic_presentation",
     "cyclic_presentation_rewritten",
     "relator_identity_check",
     "representer_polynomial",
-    "h1_from_presentation",
 ]
 
 
@@ -108,21 +101,40 @@ class Presentation:
                     raise ValueError("relator uses an undeclared generator")
 
 
+_Letters = tuple[tuple[int, int], ...]
+
+
+def _exponent_sums(relators: Iterable[_Letters], ncols: int) -> BigIntMatrix:
+    rows = []
+    for letters in relators:
+        row = [0] * ncols
+        for g, e in letters:
+            row[g] += e
+        rows.append(row)
+    return BigIntMatrix.from_rows(rows, ncols=ncols)
+
+
 def abelianize(p: Presentation) -> BigIntMatrix:
     """Relation matrix: one row per relator, one column per generator,
     entries the exponent sums.  Invariant under free reduction."""
-    rows = []
-    for r in p.relators:
-        row = [0] * p.generator_count
-        for g, e in r.letters:
-            row[g] += e
-        rows.append(row)
-    return BigIntMatrix.from_rows(rows, ncols=p.generator_count)
+    return _exponent_sums((r.letters for r in p.relators), p.generator_count)
 
 
-def h1_from_presentation(p: Presentation) -> AbelianGroup:
-    """First homology of the presented group: abelianize, then Smith."""
-    return cokernel(abelianize(p))
+def _takahashi_relators(n: int, pq: Rational, rs: Rational) -> Iterator[_Letters]:
+    """(generator, exponent) letters of the 2n surgery relators, read by
+    both the presentation and the matrix; exponents may be zero."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    p, q = pq.num, pq.den
+    r, s = rs.num, rs.den
+    m = 2 * n
+
+    def x(k: int) -> int:  # 1-based paper subscript -> 0-based index mod 2n
+        return (k - 1) % m
+
+    for i in range(1, n + 1):
+        yield (x(2 * i - 1), q), (x(2 * i), -r), (x(2 * i + 1), -q)
+        yield (x(2 * i), s), (x(2 * i + 1), p), (x(2 * i + 2), -s)
 
 
 def takahashi_presentation(n: int, pq: Rational, rs: Rational) -> Presentation:
@@ -136,20 +148,14 @@ def takahashi_presentation(n: int, pq: Rational, rs: Rational) -> Presentation:
     wraps back to x1).  Internally generators are 0-based; zero-exponent
     letters are dropped at construction.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    p, q = pq.num, pq.den
-    r, s = rs.num, rs.den
-    m = 2 * n
+    return Presentation(2 * n, tuple(word(r) for r in _takahashi_relators(n, pq, rs)))
 
-    def x(k: int) -> int:  # 1-based paper subscript -> 0-based index mod 2n
-        return (k - 1) % m
 
-    relators = []
-    for i in range(1, n + 1):
-        relators.append(word([(x(2 * i - 1), q), (x(2 * i), -r), (x(2 * i + 1), -q)]))
-        relators.append(word([(x(2 * i), s), (x(2 * i + 1), p), (x(2 * i + 2), -s)]))
-    return Presentation(m, tuple(relators))
+def takahashi_matrix(n: int, pq: Rational, rs: Rational) -> BigIntMatrix:
+    """The 2n x 2n banded relation matrix of the surgery presentation,
+    summed straight from the relator letters without building Words;
+    equal entry for entry to abelianize(takahashi_presentation(n, pq, rs))."""
+    return _exponent_sums(_takahashi_relators(n, pq, rs), 2 * n)
 
 
 def cyclic_presentation(n: int, p: int, q: int, s: int) -> Presentation:
@@ -265,8 +271,11 @@ def representer_polynomial(n: int, p: int, q: int, s: int) -> RepresenterPoly:
     Offset 0 carries p - 2qs and offsets +-1 carry qs each, so for n >= 3
     the canonical representative is qs t^2 + (p - 2qs) t + qs up to units.
     For n <= 2 the offsets collide mod n and the polynomial collapses
-    (n = 1 gives the constant p).  |resultant(poly, t^n - 1)| is then the
-    order of the abelianized group whenever that is finite.
+    (n = 1 gives the constant p).  Multiplication by poly on
+    Z[t]/(t^n - 1) (exactalg.circulant_of_poly) is then the relation
+    matrix of cyclic_presentation up to the unit +-t^k, and
+    |resultant(poly, t^n - 1)| is the order of the abelianized group
+    whenever that is finite.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -328,22 +328,26 @@ def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     """H_1 of the n-fold cyclic cover of S^3 branched over a knot with
     Alexander polynomial delta.
 
-    Computed structurally as the cokernel of multiplication by delta on
-    Z[t]/(1 + t + ... + t^(n-1)); the order, when finite, independently
-    equals |resultant(delta, 1 + ... + t^(n-1))| (see branched_cover_order).
+    Computed structurally as the cokernel of the (n-1) x (n-1) matrix of
+    multiplication by delta on Z[t]/(1 + t + ... + t^(n-1)): row k holds
+    delta * t^k reduced mod 1 + ... + t^(n-1).  Delta is reduced once and
+    each next row is t times the last, a shift in which the top
+    coefficient c wraps to -c on every entry, because
+    t^(n-1) = -(1 + ... + t^(n-2)).  The order, when finite,
+    independently equals |resultant(delta, 1 + ... + t^(n-1))| (see
+    branched_cover_order).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
         return AbelianGroup()
-    nu = cyclotomic_quotient(n)
-    rows = []
-    shifted = delta.poly
-    for _ in range(n - 1):
-        reduced = poly_divmod(shifted, nu)[1]
-        row = list(reduced.coeffs) + [0] * (n - 1 - len(reduced.coeffs))
+    reduced = poly_divmod(delta.poly, cyclotomic_quotient(n))[1].coeffs
+    row = list(reduced) + [0] * (n - 1 - len(reduced))
+    rows = [row]
+    for _ in range(n - 2):
+        c = row[-1]
+        row = [-c] + [x - c for x in row[:-1]]
         rows.append(row)
-        shifted = shifted.shifted(1)
     return cokernel(BigIntMatrix.from_rows(rows, ncols=n - 1))
 
 

@@ -13,17 +13,12 @@ from .exactalg import (
     BigIntMatrix,
     IntPoly,
     Rational,
+    circulant_of_poly,
     cokernel,
     determinant,
     resultant,
 )
-from .grouppres import (
-    abelianize,
-    cyclic_presentation,
-    h1_from_presentation,
-    representer_polynomial,
-    takahashi_presentation,
-)
+from .grouppres import representer_polynomial, takahashi_matrix
 from .knotkit import (
     ConwayForm,
     TwoBridge,
@@ -36,13 +31,13 @@ from .knotkit import (
 
 __all__ = [
     "TakahashiSpec",
-    "BranchData",
     "normalize_spec",
     "h1_takahashi",
     "h1_cyclic_route",
+    "takahashi_determinant",
+    "representer_order",
     "branch_knot",
     "base_space_h1",
-    "branch_data",
     "cross_check_prop4",
     "symmetry_check",
 ]
@@ -90,18 +85,20 @@ def normalize_spec(n: int, a: Rational, b: Rational) -> TakahashiSpec:
 
 
 def h1_takahashi(spec: TakahashiSpec) -> AbelianGroup:
-    """H_1 via the 2n-generator surgery presentation."""
-    return h1_from_presentation(takahashi_presentation(spec.n, spec.pq, spec.rs))
+    """H_1 via the 2n-generator surgery presentation: the cokernel of its
+    2n x 2n banded relation matrix (grouppres.takahashi_matrix)."""
+    return cokernel(takahashi_matrix(spec.n, spec.pq, spec.rs))
 
 
 def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
-    """H_1 via the n-generator cyclic presentation; requires r = 1 and
-    agrees with h1_takahashi on the nose."""
+    """H_1 via the n-generator cyclic presentation: the cokernel of the
+    n x n circulant of the representer polynomial, i.e. of multiplication
+    by it on Z[t]/(t^n - 1).  Requires r = 1 and agrees with h1_takahashi
+    on the nose."""
     if spec.rs.num != 1:
         raise ValueError("cyclic route needs a coefficient of the form 1/s")
-    return h1_from_presentation(
-        cyclic_presentation(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
-    )
+    rep = representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
+    return cokernel(circulant_of_poly(rep.poly, spec.n))
 
 
 def branch_knot(q: int, s: int) -> TwoBridge:
@@ -125,22 +122,6 @@ def base_space_h1(pq: Rational, rs: Rational) -> AbelianGroup:
     """H_1 of the connected sum L(p, q) # L(r, s): Z/p + Z/r, where a zero
     numerator contributes a free Z summand."""
     return cokernel(BigIntMatrix.diagonal([abs(pq.num), abs(rs.num)]))
-
-
-@dataclass(frozen=True)
-class BranchData:
-    """Base-space homology plus, when p = r = 1 (so the base is S^3), the
-    two-bridge branching knot."""
-
-    base_h1: AbelianGroup
-    knot: TwoBridge | None
-
-
-def branch_data(spec: TakahashiSpec) -> BranchData:
-    knot = None
-    if spec.pq.num == 1 and spec.rs.num == 1:
-        knot = branch_knot(spec.pq.den, spec.rs.den)
-    return BranchData(base_space_h1(spec.pq, spec.rs), knot)
 
 
 def cross_check_prop4(q: int, s: int, n: int) -> bool:
@@ -168,9 +149,10 @@ def symmetry_check(spec: TakahashiSpec) -> bool:
 
 
 def takahashi_determinant(spec: TakahashiSpec) -> int:
-    """Determinant of the 2n x 2n relation matrix; |det| is |H_1| whenever
-    the homology is finite."""
-    return determinant(abelianize(takahashi_presentation(spec.n, spec.pq, spec.rs)))
+    """Bareiss determinant of the 2n x 2n banded relation matrix that
+    h1_takahashi reduces (grouppres.takahashi_matrix); |det| is |H_1|
+    whenever the homology is finite."""
+    return determinant(takahashi_matrix(spec.n, spec.pq, spec.rs))
 
 
 def representer_order(spec: TakahashiSpec) -> int:

@@ -98,3 +98,17 @@ def nontrivial_unity_root_abs_product(coeffs: list[int], n: int) -> float:
         z = cmath.exp(2j * cmath.pi * j / n)
         prod *= sum(c * z**k for k, c in enumerate(coeffs))
     return abs(prod)
+
+
+def cover_matrix_by_division(delta: list[int], n: int) -> list[list[int]]:
+    """Multiplication by delta on Z[t]/(1 + t + ... + t^(n-1)), n >= 2, as
+    n - 1 rows: row k is delta * t^k reduced by its own long division."""
+    rows = []
+    for k in range(n - 1):
+        rem = [0] * k + list(delta)
+        for i in range(len(rem) - 1, n - 2, -1):
+            c = rem[i]
+            for j in range(i - n + 1, i + 1):  # subtract c * t^(i-n+1) * (1 + ... + t^(n-1))
+                rem[j] -= c
+        rows.append(rem[: n - 1] + [0] * (n - 1 - len(rem)))
+    return rows

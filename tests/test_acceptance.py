@@ -3,6 +3,7 @@ line (visible with pytest -s).  All quantities are exact integers, so
 every comparison is equality, no tolerances anywhere.
 """
 
+import json
 import math
 import random
 
@@ -27,7 +28,7 @@ from takahashi.knotkit import (
     normalize_two_bridge,
     two_bridge_equivalent,
 )
-from takahashi.claims import run_claims, UNVERIFIED
+from takahashi.claims import UNVERIFIED
 from takahashi.manifolds import (
     base_space_h1,
     cross_check_prop4,
@@ -79,11 +80,10 @@ def test_criterion_3_braid_cover_256():
     report("3-braid-3fold-cover-256", order == 256, f"|Res(Delta, 1+t+t^2)| = {order}")
 
 
-def test_criterion_4_rational_braid_unverified():
-    reports = {r.claim_id: r for r in run_claims()}
-    claim = reports["R1-rational-135"]
-    report("4-rational-braid-135-unverified", claim.status == UNVERIFIED,
-           f"status = {claim.status}")
+def test_criterion_4_rational_braid_unverified(verify_paper_json):
+    claims = {c["claimId"]: c for c in json.loads(verify_paper_json[1])["claims"]}
+    status = claims["R1-rational-135"]["status"]
+    report("4-rational-braid-135-unverified", status == UNVERIFIED, f"status = {status}")
 
 
 def test_criterion_5_lemma1_grid():

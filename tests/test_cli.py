@@ -262,8 +262,8 @@ def test_verify_paper_passes(capsys):
     assert "unverified" in out
 
 
-def test_verify_paper_json_contents(capsys):
-    rc, out, _ = run(capsys, "verify-paper", "--json")
+def test_verify_paper_json_contents(verify_paper_json):
+    rc, out = verify_paper_json
     assert rc == 0
     doc = json.loads(out)
     by_id = {c["claimId"]: c for c in doc["claims"]}
@@ -285,15 +285,15 @@ def test_verify_paper_json_contents(capsys):
     assert reports == run_claims()
 
 
-def test_verify_paper_deterministic(capsys):
-    rc1, out1, _ = run(capsys, "verify-paper", "--json")
+def test_verify_paper_deterministic(capsys, verify_paper_json):
+    rc1, out1 = verify_paper_json
     rc2, out2, _ = run(capsys, "verify-paper", "--json")
     assert rc1 == rc2 == 0
     assert out1 == out2
 
 
-def test_claim_ids_sorted(capsys):
-    _, out, _ = run(capsys, "verify-paper", "--json")
+def test_claim_ids_sorted(verify_paper_json):
+    _, out = verify_paper_json
     ids = [c["claimId"] for c in json.loads(out)["claims"]]
     assert ids == sorted(ids)
 

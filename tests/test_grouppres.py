@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from takahashi.exactalg import IntPoly, Rational, resultant
+from takahashi.claims import grid_rationals
+from takahashi.exactalg import IntPoly, Rational, cokernel, resultant
 from takahashi.grouppres import (
     Presentation,
     Word,
@@ -11,9 +12,9 @@ from takahashi.grouppres import (
     cyclic_presentation,
     cyclic_presentation_rewritten,
     free_reduce,
-    h1_from_presentation,
     relator_identity_check,
     representer_polynomial,
+    takahashi_matrix,
     takahashi_presentation,
     word,
     words_cyclically_equal,
@@ -66,13 +67,13 @@ def test_abelianize_empty_presentation():
     p = Presentation(4, ())
     m = abelianize(p)
     assert (m.nrows, m.ncols) == (0, 4)
-    assert h1_from_presentation(p) == AbelianGroup((), 4)
+    assert cokernel(abelianize(p)) == AbelianGroup((), 4)
 
 
 def test_abelianize_single_power_relator():
     p = Presentation(1, (Word(((0, 3),)),))
     assert abelianize(p).to_lists() == [[3]]
-    assert h1_from_presentation(p) == AbelianGroup((3,))
+    assert cokernel(abelianize(p)) == AbelianGroup((3,))
 
 
 def test_abelianize_ignores_free_reduction():
@@ -97,21 +98,36 @@ def test_takahashi_n1_trivial_homology():
     for q in (-2, 1, 3):
         for s in (-1, 2):
             p = takahashi_presentation(1, Rational(1, q), Rational(1, s))
-            assert h1_from_presentation(p).is_trivial
+            assert cokernel(abelianize(p)).is_trivial
 
 
 def test_takahashi_generator_and_relator_count():
     p = takahashi_presentation(3, Rational(3, 1), Rational(3, -1))
     assert p.generator_count == 6
     assert len(p.relators) == 6
-    assert h1_from_presentation(p).order() == 1296
+    assert cokernel(abelianize(p)).order() == 1296
 
 
 def test_takahashi_zero_coefficients_give_free_part():
     p = takahashi_presentation(2, Rational(0, 1), Rational(0, 1))
     m = abelianize(p)
     assert smith_normal_form(m).invariant_factors == (1, 1, 0, 0)
-    assert h1_from_presentation(p) == AbelianGroup((), 2)
+    assert cokernel(abelianize(p)) == AbelianGroup((), 2)
+
+
+def test_takahashi_matrix_equals_abelianized_presentation():
+    # n = 1 wraps x3 back to x1; the grid holds 0/1 and 1/0
+    grid = grid_rationals(3)
+    for n in range(1, 5):
+        for a in grid:
+            for b in grid:
+                assert takahashi_matrix(n, a, b) == abelianize(takahashi_presentation(n, a, b))
+
+
+def test_surgery_builders_reject_n_zero():
+    for build in (takahashi_presentation, takahashi_matrix):
+        with pytest.raises(ValueError):
+            build(0, Rational(1, 1), Rational(1, 1))
 
 
 def test_takahashi_drops_zero_exponent_letters():
@@ -155,7 +171,7 @@ def test_cyclic_snf_invariant_under_relabeling():
 
 
 def test_cyclic_order_15():
-    assert h1_from_presentation(cyclic_presentation(4, 3, 2, 1)).order() == 15
+    assert cokernel(abelianize(cyclic_presentation(4, 3, 2, 1))).order() == 15
 
 
 # ---------------------------------------------------------- rewritten forms
@@ -250,7 +266,7 @@ def test_representer_resultant_gives_homology_order():
                 if math.gcd(p, q) != 1:
                     continue
                 for s in range(-3, 4):
-                    g = h1_from_presentation(cyclic_presentation(n, p, q, s))
+                    g = cokernel(abelianize(cyclic_presentation(n, p, q, s)))
                     rep = representer_polynomial(n, p, q, s).poly
                     tn_minus_1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
                     r = abs(resultant(rep, tn_minus_1)) if not rep.is_zero else 0

@@ -23,7 +23,7 @@ from takahashi.knotkit import (
     two_bridge_presentation,
 )
 
-from oracles import nontrivial_unity_root_abs_product
+from oracles import cover_matrix_by_division, nontrivial_unity_root_abs_product
 
 
 def all_two_bridge_knots(max_alpha):
@@ -361,6 +361,26 @@ def test_cover_order_routes_agree():
             if res_order is not None:
                 approx = nontrivial_unity_root_abs_product(list(delta.poly.coeffs), n)
                 assert abs(approx - res_order) <= 1e-6 * max(1.0, res_order)
+
+
+def test_cover_matrix_matches_row_by_division(monkeypatch):
+    # the route builds each row as t times the last; the oracle divides
+    # delta * t^k afresh for every row
+    from takahashi import knotkit
+
+    matrices = []
+    real = knotkit.cokernel
+
+    def recording(m):
+        matrices.append(m.to_lists())
+        return real(m)
+
+    monkeypatch.setattr(knotkit, "cokernel", recording)
+    for k in (TwoBridge(3, 1), TwoBridge(5, 2), TwoBridge(7, 3)):
+        delta = alexander_two_bridge(k)
+        for n in range(2, 61):
+            branched_cover_homology(delta, n)
+            assert matrices.pop() == cover_matrix_by_division(list(delta.poly.coeffs), n)
 
 
 def test_cover_order_trefoil_large_n():

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from takahashi.exactalg import AbelianGroup, Rational
-from takahashi.grouppres import abelianize, takahashi_presentation
-from takahashi.knotkit import TwoBridge
+from takahashi import grouppres
+from takahashi.exactalg import AbelianGroup, Rational, cokernel
+from takahashi.grouppres import abelianize, cyclic_presentation, takahashi_presentation
+from takahashi.knotkit import TwoBridge, alexander_two_bridge, branched_cover_homology
 from takahashi.manifolds import (
     TakahashiSpec,
     base_space_h1,
-    branch_data,
     branch_knot,
     cross_check_prop4,
     h1_cyclic_route,
@@ -114,6 +114,35 @@ def test_cyclic_route_matches_surgery_route():
                     assert h1_takahashi(spec) == h1_cyclic_route(spec)
 
 
+def test_cyclic_route_matches_abelianized_cyclic_presentation():
+    # the route reads the representer polynomial, not the relators; s = 0
+    # (r/s infinite) included
+    for n in range(1, 7):
+        for p in range(0, 4):
+            for q in range(-3, 4):
+                if math.gcd(p, q) != 1:
+                    continue
+                for s in range(-3, 4):
+                    spec = normalize_spec(n, Rational(p, q), Rational(1, s))
+                    pres = cyclic_presentation(n, spec.pq.num, spec.pq.den, spec.rs.den)
+                    assert h1_cyclic_route(spec) == cokernel(abelianize(pres))
+
+
+def test_homology_routes_build_no_words(monkeypatch):
+    spec = normalize_spec(5, Rational(3, 2), Rational(1, -2))
+    expected = (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec))
+    delta = alexander_two_bridge(branch_knot(1, -1))  # Fox calculus needs Words
+
+    def no_words(self):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(grouppres.Word, "__post_init__", no_words)
+    with pytest.raises(AssertionError):
+        takahashi_presentation(1, Rational(1, 1), Rational(1, 1))
+    assert (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec)) == expected
+    assert branched_cover_homology(delta, 5) == AbelianGroup((11, 11))
+
+
 def test_determinant_identity_r_one_family():
     for n in range(1, 7):
         for p in range(-3, 4):
@@ -150,16 +179,6 @@ def test_base_space_h1():
     assert base_space_h1(Rational(1, 2), Rational(1, 5)).is_trivial
     assert base_space_h1(Rational(3, 1), Rational(3, -1)) == AbelianGroup((3, 3))
     assert base_space_h1(Rational(0, 1), Rational(2, 1)) == AbelianGroup((2,), 1)
-
-
-def test_branch_data_knot_only_for_unit_numerators():
-    spec = normalize_spec(3, Rational(1, 1), Rational(1, -1))
-    data = branch_data(spec)
-    assert data.knot == TwoBridge(5, 3)
-    assert data.base_h1.is_trivial
-    other = branch_data(normalize_spec(3, Rational(3, 1), Rational(1, -1)))
-    assert other.knot is None
-    assert other.base_h1 == AbelianGroup((3,))
 
 
 # ---------------------------------------------------------------- cross-checks
