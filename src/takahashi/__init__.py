@@ -25,7 +25,6 @@ from .exactalg import (
 )
 from .grouppres import (
     Presentation,
-    RepresenterPoly,
     Word,
     abelianize,
     cyclic_presentation,

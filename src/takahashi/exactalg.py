@@ -349,31 +349,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
-
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 

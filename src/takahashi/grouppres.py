@@ -15,7 +15,6 @@ from .exactalg import BigIntMatrix, IntPoly, Rational, normalize_up_to_units
 __all__ = [
     "Word",
     "Presentation",
-    "RepresenterPoly",
     "free_reduce",
     "abelianize",
     "takahashi_presentation",
@@ -51,36 +50,34 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def __pow__(self, k: int) -> "Word":
-        """k-th power; negative k means the (-k)-th power of the inverse."""
-        if k == 0:
-            return Word(())
-        base = self if k > 0 else self.inverse()
-        return Word(base.letters * abs(k))
-
 
 def word(pairs: Iterable[tuple[int, int]]) -> Word:
     """Build a Word, silently dropping zero-exponent letters."""
     return Word(tuple((g, e) for g, e in pairs if e))
 
 
-def free_reduce(w: Word) -> Word:
-    """Unique freely reduced form: merged exponents, cancellations removed."""
+_Letters = tuple[tuple[int, int], ...]
+
+
+def _reduce(letters: Iterable[tuple[int, int]]) -> _Letters:
+    """Freely reduced letters; zero-exponent letters are skipped, since the
+    relator generators below may emit them."""
     stack: list[list[int]] = []
-    for g, e in w.letters:
+    for g, e in letters:
+        if not e:
+            continue
         if stack and stack[-1][0] == g:
             stack[-1][1] += e
             if stack[-1][1] == 0:
                 stack.pop()
         else:
             stack.append([g, e])
-    return Word(tuple((g, e) for g, e in stack))
+    return tuple((g, e) for g, e in stack)
+
+
+def free_reduce(w: Word) -> Word:
+    """Unique freely reduced form: merged exponents, cancellations removed."""
+    return Word(_reduce(w.letters))
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,6 @@ class Presentation:
             for g, _ in r.letters:
                 if g >= self.generator_count:
                     raise ValueError("relator uses an undeclared generator")
-
-
-_Letters = tuple[tuple[int, int], ...]
 
 
 def _exponent_sums(relators: Iterable[_Letters], ncols: int) -> BigIntMatrix:
@@ -158,6 +152,24 @@ def takahashi_matrix(n: int, pq: Rational, rs: Rational) -> BigIntMatrix:
     return _exponent_sums(_takahashi_relators(n, pq, rs), 2 * n)
 
 
+def _power(letters: _Letters, k: int) -> _Letters:
+    """Letters of the k-th power; k < 0 repeats the inverse."""
+    if k < 0:
+        letters = tuple((g, -e) for g, e in reversed(letters))
+    return letters * abs(k)
+
+
+def _cyclic_relators(n: int, p: int, q: int, s: int) -> Iterator[_Letters]:
+    """Letters of the n cyclic relators, read by the presentation, the
+    representer polynomial and the identity check; exponents may be zero."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    for i in range(n):
+        up = ((i, -q), ((i + 1) % n, q))
+        down = ((i, -q), ((i - 1) % n, q))
+        yield ((i, p),) + _power(up, s) + _power(down, s)
+
+
 def cyclic_presentation(n: int, p: int, q: int, s: int) -> Presentation:
     """Cyclic presentation of pi_1(M_n(p/q, 1/s)) on n generators.
 
@@ -168,15 +180,24 @@ def cyclic_presentation(n: int, p: int, q: int, s: int) -> Presentation:
     Every relator is the cyclic shift of the first, so the relation matrix
     is circulant.
     """
+    return Presentation(n, tuple(word(r) for r in _cyclic_relators(n, p, q, s)))
+
+
+def _rewritten_relators(n: int, p: int, q: int, s: int) -> Iterator[_Letters]:
+    """Letters of the n rewritten relators; exponents may be zero.  With
+    c = q sign(s) and k = |s|, relator i is
+
+        z(i)^(p-c) (z(i+1)^c z(i)^-c)^k (z(i-1)^c z(i)^-c)^(k-1) z(i-1)^c
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    relators = []
+    if s == 0:
+        raise ValueError("the rewritten presentation needs s != 0")
+    c, k = (q, s) if s > 0 else (-q, -s)
     for i in range(n):
-        head = word([(i, p)])
-        up = word([(i, -q), ((i + 1) % n, q)])
-        down = word([(i, -q), ((i - 1) % n, q)])
-        relators.append(head * up**s * down**s)
-    return Presentation(n, tuple(relators))
+        up, down = (i + 1) % n, (i - 1) % n
+        yield (((i, p - c),) + ((up, c), (i, -c)) * k
+               + ((down, c), (i, -c)) * (k - 1) + ((down, c),))
 
 
 def cyclic_presentation_rewritten(n: int, p: int, q: int, s: int) -> Presentation:
@@ -188,36 +209,19 @@ def cyclic_presentation_rewritten(n: int, p: int, q: int, s: int) -> Presentatio
     s = 0 is rejected: that degenerate manifold (a connected sum of n lens
     spaces) is already covered by cyclic_presentation itself.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if s == 0:
-        raise ValueError("the rewritten presentation needs s != 0")
-    relators = []
-    for i in range(n):
-        up, down = (i + 1) % n, (i - 1) % n
-        if s > 0:
-            w = word([(i, p - q)])
-            w = w * word([(up, q), (i, -q)]) ** s
-            w = w * word([(down, q), (i, -q)]) ** (s - 1)
-            w = w * word([(down, q)])
-        else:
-            w = word([(i, p + q)])
-            w = w * word([(up, -q), (i, q)]) ** (-s)
-            w = w * word([(down, -q), (i, q)]) ** (-s - 1)
-            w = w * word([(down, -q)])
-        relators.append(w)
-    return Presentation(n, tuple(relators))
+    return Presentation(n, tuple(word(r) for r in _rewritten_relators(n, p, q, s)))
 
 
-def _atoms(w: Word) -> list[tuple[int, int]]:
-    out = []
-    for g, e in w.letters:
-        step = 1 if e > 0 else -1
-        out.extend([(g, step)] * abs(e))
-    return out
+def _core_atoms(letters: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Unit-exponent atoms of the freely and cyclically reduced word."""
+    a = [(g, 1 if e > 0 else -1) for g, e in _reduce(letters) for _ in range(abs(e))]
+    while len(a) >= 2 and a[0][0] == a[-1][0] and a[0][1] == -a[-1][1]:
+        a = a[1:-1]
+    return a
 
 
-def _cyclic_rotations_equal(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+def _cyclically_equal(x: Iterable[tuple[int, int]], y: Iterable[tuple[int, int]]) -> bool:
+    a, b = _core_atoms(x), _core_atoms(y)
     if len(a) != len(b):
         return False
     if not a:
@@ -228,13 +232,7 @@ def _cyclic_rotations_equal(a: list[tuple[int, int]], b: list[tuple[int, int]]) 
 def words_cyclically_equal(w1: Word, w2: Word) -> bool:
     """True iff the freely reduced words agree up to cyclic permutation,
     i.e. represent conjugate elements with cyclically reduced cores."""
-    parts = []
-    for w in (w1, w2):
-        a = _atoms(free_reduce(w))
-        while len(a) >= 2 and a[0][0] == a[-1][0] and a[0][1] == -a[-1][1]:
-            a = a[1:-1]
-        parts.append(a)
-    return _cyclic_rotations_equal(parts[0], parts[1])
+    return _cyclically_equal(w1.letters, w2.letters)
 
 
 def relator_identity_check(n: int, p: int, q: int, s: int) -> bool:
@@ -243,54 +241,30 @@ def relator_identity_check(n: int, p: int, q: int, s: int) -> bool:
     For s > 0 the two relators are freely equal; for s < 0 the rewritten
     relator is the original conjugated by z(i)^q, so the comparison is
     made on freely reduced words up to cyclic permutation (which is what
-    "the presentations coincide" means for relators).
+    "the presentations coincide" means for relators, and which freely
+    equal relators pass too).
     """
-    if s == 0:
-        raise ValueError("identity check needs s != 0")
-    orig = cyclic_presentation(n, p, q, s)
-    rewritten = cyclic_presentation_rewritten(n, p, q, s)
-    for r1, r2 in zip(orig.relators, rewritten.relators):
-        a, b = free_reduce(r1), free_reduce(r2)
-        if a != b and not words_cyclically_equal(a, b):
-            return False
-    return True
+    return all(
+        _cyclically_equal(a, b)
+        for a, b in zip(_cyclic_relators(n, p, q, s), _rewritten_relators(n, p, q, s))
+    )
 
 
-@dataclass(frozen=True)
-class RepresenterPoly:
-    """Exponent pattern of the cyclic relator by generator offset, as a
-    polynomial taken mod t^n - 1 and normalized up to units."""
-
-    poly: IntPoly
-    modulus: int
-
-
-def representer_polynomial(n: int, p: int, q: int, s: int) -> RepresenterPoly:
-    """Exponent sums of the cyclic relator, by offset from the base index.
+def representer_polynomial(n: int, p: int, q: int, s: int) -> IntPoly:
+    """Exponent sums of the first cyclic relator, by offset from its base
+    index 0 (generator g sits at offset g - n when 2g > n, else at g).
 
     Offset 0 carries p - 2qs and offsets +-1 carry qs each, so for n >= 3
     the canonical representative is qs t^2 + (p - 2qs) t + qs up to units.
     For n <= 2 the offsets collide mod n and the polynomial collapses
-    (n = 1 gives the constant p).  Multiplication by poly on
+    (n = 1 gives the constant p).  Multiplication by the result f on
     Z[t]/(t^n - 1) (exactalg.circulant_of_poly) is then the relation
     matrix of cyclic_presentation up to the unit +-t^k, and
-    |resultant(poly, t^n - 1)| is the order of the abelianized group
+    |resultant(f, t^n - 1)| is the order of the abelianized group
     whenever that is finite.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    qs = q * s
     lau: dict[int, int] = {}
-
-    def add(e: int, c: int) -> None:
-        lau[e] = lau.get(e, 0) + c
-
-    add(0, p - 2 * qs)
-    if n == 1:
-        add(0, 2 * qs)
-    elif n == 2:
-        add(1, 2 * qs)
-    else:
-        add(-1, qs)
-        add(1, qs)
-    return RepresenterPoly(normalize_up_to_units(lau), n)
+    for g, e in next(_cyclic_relators(n, p, q, s)):
+        k = g - n if 2 * g > n else g
+        lau[k] = lau.get(k, 0) + e
+    return normalize_up_to_units(lau)

@@ -164,9 +164,9 @@ def two_bridge_presentation(k: TwoBridge) -> Presentation:
         return Presentation(1, ())
     eps = epsilon_sequence(k.alpha, k.beta)
     a, b = 0, 1
-    w = word([(a if i % 2 == 0 else b, e) for i, e in enumerate(eps)])
-    relator = w * word([(a, 1)]) * w.inverse() * word([(b, -1)])
-    return Presentation(2, (relator,))
+    w = tuple((a if i % 2 == 0 else b, e) for i, e in enumerate(eps))
+    w_inv = tuple((g, -e) for g, e in reversed(w))
+    return Presentation(2, (word(w + ((a, 1),) + w_inv + ((b, -1),)),))
 
 
 def fox_derivative_abelianized(w: Word, gen: int) -> dict[int, int]:

@@ -98,7 +98,7 @@ def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
     if spec.rs.num != 1:
         raise ValueError("cyclic route needs a coefficient of the form 1/s")
     rep = representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
-    return cokernel(circulant_of_poly(rep.poly, spec.n))
+    return cokernel(circulant_of_poly(rep, spec.n))
 
 
 def branch_knot(q: int, s: int) -> TwoBridge:
@@ -162,4 +162,4 @@ def representer_order(spec: TakahashiSpec) -> int:
         raise ValueError("representer route needs a coefficient of the form 1/s")
     rep = representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
     tn_minus_1 = IntPoly((-1,) + (0,) * (spec.n - 1) + (1,))
-    return abs(resultant(rep.poly, tn_minus_1))
+    return abs(resultant(rep, tn_minus_1))

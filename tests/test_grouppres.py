@@ -4,6 +4,7 @@ import random
 import pytest
 
 from takahashi.claims import grid_rationals
+from takahashi import grouppres
 from takahashi.exactalg import IntPoly, Rational, cokernel, resultant
 from takahashi.grouppres import (
     Presentation,
@@ -48,17 +49,23 @@ def test_free_reduce_fibonacci_relator():
 
 
 def test_free_reduce_compatible_with_inversion():
+    def inverse(w):
+        return Word(tuple((g, -e) for g, e in reversed(w.letters)))
+
     rng = random.Random(11)
     for _ in range(100):
         w = Word(tuple((rng.randint(0, 2), rng.choice((-2, -1, 1, 2)))
                        for _ in range(rng.randint(0, 8))))
-        assert free_reduce(w.inverse()) == free_reduce(w).inverse()
+        assert free_reduce(inverse(w)) == inverse(free_reduce(w))
 
 
-def test_word_power_expands_negative_exponents():
-    u = Word(((0, 1), (1, -1)))
-    assert (u ** -2).letters == ((1, 1), (0, -1)) * 2
-    assert (u ** 0).is_empty
+def test_cyclic_equality_rejects_non_conjugate_words():
+    x, y = 0, 1
+    assert not words_cyclically_equal(Word(((x, 1), (y, 1))), Word(((x, 1), (y, -1))))
+    assert not words_cyclically_equal(Word(((x, 2), (y, 1))), Word(((x, 1), (y, 2))))
+    # equal exponent sums: [x, y] and [x^-1, y] are not conjugate
+    assert not words_cyclically_equal(Word(((x, 1), (y, 1), (x, -1), (y, -1))),
+                                      Word(((x, -1), (y, 1), (x, 1), (y, -1))))
 
 
 # ------------------------------------------------------------ abelianization
@@ -128,6 +135,9 @@ def test_surgery_builders_reject_n_zero():
     for build in (takahashi_presentation, takahashi_matrix):
         with pytest.raises(ValueError):
             build(0, Rational(1, 1), Rational(1, 1))
+    for build in (cyclic_presentation, cyclic_presentation_rewritten, representer_polynomial):
+        with pytest.raises(ValueError):
+            build(0, 1, 1, 1)
 
 
 def test_takahashi_drops_zero_exponent_letters():
@@ -179,6 +189,8 @@ def test_cyclic_order_15():
 def test_rewritten_rejects_s_zero():
     with pytest.raises(ValueError):
         cyclic_presentation_rewritten(3, 1, 1, 0)
+    with pytest.raises(ValueError):
+        relator_identity_check(3, 1, 1, 0)
 
 
 def test_rewritten_s1_ends_with_plain_tail():
@@ -218,8 +230,20 @@ def test_relator_identity_is_conjugation_for_negative_s():
     new = free_reduce(cyclic_presentation_rewritten(4, 1, 1, -2).relators[0])
     assert orig != new
     assert words_cyclically_equal(orig, new)
-    conj = free_reduce(word([(0, 1)]) * orig * word([(0, -1)]))
+    conj = free_reduce(Word(((0, 1),) + orig.letters + ((0, -1),)))
     assert conj == new
+
+
+def test_relator_identity_detects_a_bumped_exponent(monkeypatch):
+    rewritten = grouppres._rewritten_relators
+
+    def bumped(n, p, q, s):
+        for (g, e), *rest in rewritten(n, p, q, s):
+            yield ((g, e + 1), *rest)
+
+    monkeypatch.setattr(grouppres, "_rewritten_relators", bumped)
+    for n, p, q, s in ((3, 1, 1, 1), (5, 2, 3, 2), (4, 1, 1, -2), (1, 0, 2, -1)):
+        assert not relator_identity_check(n, p, q, s)
 
 
 def test_relator_identity_grid():
@@ -233,20 +257,18 @@ def test_relator_identity_grid():
 # -------------------------------------------------------- representer poly
 
 def test_representer_fibonacci():
-    rep = representer_polynomial(3, 1, 1, -1)
-    assert rep.poly.coeffs == (1, -3, 1)
-    assert rep.modulus == 3
+    assert representer_polynomial(3, 1, 1, -1).coeffs == (1, -3, 1)
 
 
 def test_representer_sieradski():
-    assert representer_polynomial(5, 1, 1, 1).poly.coeffs == (1, -1, 1)
+    assert representer_polynomial(5, 1, 1, 1).coeffs == (1, -1, 1)
 
 
 def test_representer_degenerate_cases():
-    assert representer_polynomial(4, 3, 2, 0).poly.coeffs == (3,)
-    assert representer_polynomial(1, 5, 2, 3).poly.coeffs == (5,)
-    assert representer_polynomial(2, 3, 1, 1).poly.coeffs == (1, 2)
-    assert representer_polynomial(3, 0, 0, 5).poly.is_zero
+    assert representer_polynomial(4, 3, 2, 0).coeffs == (3,)
+    assert representer_polynomial(1, 5, 2, 3).coeffs == (5,)
+    assert representer_polynomial(2, 3, 1, 1).coeffs == (1, 2)
+    assert representer_polynomial(3, 0, 0, 5).is_zero
 
 
 def test_representer_value_at_one_is_p_up_to_sign():
@@ -254,7 +276,7 @@ def test_representer_value_at_one_is_p_up_to_sign():
         for p in range(-3, 4):
             for q in range(-3, 4):
                 for s in range(-3, 4):
-                    rep = representer_polynomial(n, p, q, s).poly
+                    rep = representer_polynomial(n, p, q, s)
                     val = rep(1) if not rep.is_zero else 0
                     assert abs(val) == abs(p)
 
@@ -267,7 +289,7 @@ def test_representer_resultant_gives_homology_order():
                     continue
                 for s in range(-3, 4):
                     g = cokernel(abelianize(cyclic_presentation(n, p, q, s)))
-                    rep = representer_polynomial(n, p, q, s).poly
+                    rep = representer_polynomial(n, p, q, s)
                     tn_minus_1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
                     r = abs(resultant(rep, tn_minus_1)) if not rep.is_zero else 0
                     if g.is_finite:

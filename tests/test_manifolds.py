@@ -130,7 +130,12 @@ def test_cyclic_route_matches_abelianized_cyclic_presentation():
 
 def test_homology_routes_build_no_words(monkeypatch):
     spec = normalize_spec(5, Rational(3, 2), Rational(1, -2))
-    expected = (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec))
+
+    def routes():
+        return (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec),
+                representer_order(spec), grouppres.relator_identity_check(5, 3, 2, -2))
+
+    expected = routes()
     delta = alexander_two_bridge(branch_knot(1, -1))  # Fox calculus needs Words
 
     def no_words(self):
@@ -139,7 +144,8 @@ def test_homology_routes_build_no_words(monkeypatch):
     monkeypatch.setattr(grouppres.Word, "__post_init__", no_words)
     with pytest.raises(AssertionError):
         takahashi_presentation(1, Rational(1, 1), Rational(1, 1))
-    assert (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec)) == expected
+    assert routes() == expected
+    assert expected[4]
     assert branched_cover_homology(delta, 5) == AbelianGroup((11, 11))
 
 
