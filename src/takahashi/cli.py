@@ -3,7 +3,8 @@
 Subcommands: h1, presentation, branch-knot, cover-order, two-bridge-equiv,
 braid-alexander, verify-paper, conjecture-scan.  Every command accepts
 --json for a single machine-readable document on stdout.  Exit codes:
-0 success (all claims pass), 1 claim failure, 2 usage error.
+0 success (all claims pass), 1 claim failure, 2 usage error, 3 internal
+self-check failure (a bug, reported on one line, not as a traceback).
 """
 
 from __future__ import annotations
@@ -374,6 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        # a failed self-check, such as branch_knot's Conway-form test or the
+        # Burau route's exact division
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

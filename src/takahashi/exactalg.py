@@ -5,6 +5,9 @@ and invariant-factor decompositions of finitely generated abelian groups.
 Relation matrices have 2n rows for M_n, a few hundred in practice, and
 their entries can grow exponentially during elimination, so determinants
 use Bareiss' exact-division scheme and the Smith reduction pivots on gcds.
+The Smith reduction writes only the entries an elimination step can
+change, which makes the banded surgery matrix cheap to reduce; it does
+not bound entry growth, which can still blow up on general coefficients.
 Resultants build no matrix: they run the subresultant remainder sequence.
 Everything is an immutable value and every operation is a pure function;
 Python ints give arbitrary precision for free.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -101,7 +105,7 @@ class BigIntMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        return cls(len(rows), ncols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "BigIntMatrix":
@@ -213,6 +217,22 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
     Row and column operations are unimodular throughout, so the product of
     the nonzero factors equals the absolute value of the product of the
     elementary divisors of the input.
+
+    Step k pivots on the smallest nonzero |entry| of the block a[k:][k:],
+    first in row-major order, and clears column k below it and row k right
+    of it, restarting on any nonzero remainder.  Before step k, rows and
+    columns 0..k-1 are zero off the diagonal, so the loop skips what cannot
+    change and the matrix after every step is the one the full row and
+    column operations would give:
+
+    - a row operation visits only the pivot row's nonzero columns from k
+      on, since both rows are zero left of k and a zero in the pivot row
+      leaves the target entry as it is;
+    - once column k is clear, subtracting q times it from column j
+      changes row k alone, so the column phase writes the remainder into
+      a[k][j] (a column swap still moves every row);
+    - the gcd/lcm passes that order the diagonal into a divisibility
+      chain skip entries equal to 1, which divide everything.
     """
     a = m.to_lists()
     nrows, ncols = m.nrows, m.ncols
@@ -229,49 +249,53 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
             for row in a:
                 row[k], row[j0] = row[j0], row[k]
         while True:
-            if a[k][k] < 0:
-                a[k] = [-x for x in a[k]]
-            p = a[k][k]
+            pk = a[k]
+            if pk[k] < 0:
+                pk = a[k] = [-x for x in pk]
+            p = pk[k]
+            support = [j for j in range(k, ncols) if pk[j]]
             restart = False
             for i in range(k + 1, nrows):
-                v = a[i][k]
+                row = a[i]
+                v = row[k]
                 if v:
                     q, r = divmod(v, p)
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    for j in support:
+                        row[j] -= q * pk[j]
                     if r:
                         # remainder becomes the new, strictly smaller pivot
-                        a[k], a[i] = a[i], a[k]
+                        a[k], a[i] = row, pk
                         restart = True
                         break
             if restart:
                 continue
-            for j in range(k + 1, ncols):
-                v = a[k][j]
-                if v:
-                    q, r = divmod(v, p)
+            # column k is now zero off the diagonal, so subtracting q times
+            # it from column j changes row k alone
+            for j in support[1:]:
+                q, r = divmod(pk[j], p)
+                pk[j] = r
+                if r:
                     for row in a:
-                        row[j] -= q * row[k]
-                    if r:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        restart = True
-                        break
+                        row[k], row[j] = row[j], row[k]
+                    restart = True
+                    break
             if restart:
                 continue
             break
         k += 1
 
-    diag = [abs(a[i][i]) for i in range(steps)]
     # pairwise gcd/lcm passes enforce the divisibility chain; diag(x, y) is
-    # unimodularly equivalent to diag(gcd, lcm)
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
+    # unimodularly equivalent to diag(gcd, lcm), and diag(1, y) is already a
+    # chain, so the passes run over the entries other than 1
+    rest = [d for d in (abs(a[i][i]) for i in range(steps)) if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            x, y = rest[i], rest[j]
             g = math.gcd(x, y)
             if g == 0:
                 continue
-            diag[i], diag[j] = g, (x // g) * y
-    return SnfResult(tuple(diag))
+            rest[i], rest[j] = g, (x // g) * y
+    return SnfResult((1,) * (steps - len(rest)) + tuple(rest))
 
 
 def cokernel(m: BigIntMatrix) -> AbelianGroup:

@@ -40,6 +40,7 @@ __all__ = [
     "base_space_h1",
     "cross_check_prop4",
     "symmetry_check",
+    "symmetry_variants",
 ]
 
 
@@ -135,17 +136,21 @@ def cross_check_prop4(q: int, s: int, n: int) -> bool:
     return via_surgery == via_cover
 
 
-def symmetry_check(spec: TakahashiSpec) -> bool:
-    """Homology-level check of the coefficient symmetries: H_1 must agree
-    under (p/q, r/s) -> (-p/q, -r/s), (r/s, p/q) and (-r/s, -p/q)."""
-    variants = [
-        spec,
+def symmetry_variants(spec: TakahashiSpec) -> tuple[TakahashiSpec, ...]:
+    """The images of spec under the coefficient symmetries
+    (p/q, r/s) -> (-p/q, -r/s), (r/s, p/q) and (-r/s, -p/q)."""
+    return (
         normalize_spec(spec.n, -spec.pq, -spec.rs),
         normalize_spec(spec.n, spec.rs, spec.pq),
         normalize_spec(spec.n, -spec.rs, -spec.pq),
-    ]
-    groups = [h1_takahashi(v) for v in variants]
-    return all(g == groups[0] for g in groups)
+    )
+
+
+def symmetry_check(spec: TakahashiSpec) -> bool:
+    """Homology-level check of the coefficient symmetries: H_1 must agree
+    on spec and on each of its symmetry_variants."""
+    g = h1_takahashi(spec)
+    return all(h1_takahashi(v) == g for v in symmetry_variants(spec))
 
 
 def takahashi_determinant(spec: TakahashiSpec) -> int:

@@ -3,12 +3,15 @@
 These deliberately avoid the library's own elimination code: determinants
 by brute-force cofactor expansion or by Gaussian elimination over the
 rationals, resultants as Sylvester determinants, ranks by Gaussian
-elimination over F_p, and root-of-unity products in floating point.
+elimination over F_p, and root-of-unity products in floating point.  The
+one exception is gcd_pivot_snf, the library's Smith reduction written
+without the work it skips.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 
@@ -112,3 +115,85 @@ def cover_matrix_by_division(delta: list[int], n: int) -> list[list[int]]:
                 rem[j] -= c
         rows.append(rem[: n - 1] + [0] * (n - 1 - len(rem)))
     return rows
+
+
+def _smallest_nonzero(a: list[list[int]], k: int, nrows: int, ncols: int) -> tuple[int, int] | None:
+    best = None
+    where = None
+    for i in range(k, nrows):
+        for j in range(k, ncols):
+            v = a[i][j]
+            if v != 0 and (best is None or abs(v) < best):
+                best = abs(v)
+                where = (i, j)
+                if best == 1:
+                    return where
+    return where
+
+
+def gcd_pivot_snf(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
+    """Invariant factors by the plain gcd-pivot Smith reduction: every row
+    operation rewrites the whole row, every column operation runs over
+    every row, and the gcd/lcm passes run over the whole diagonal.
+
+    exactalg.smith_normal_form makes the same pivot choices but skips the
+    entries a step cannot change, so the two must agree on every input.
+    """
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    steps = min(nrows, ncols)
+    k = 0
+    while k < steps:
+        piv = _smallest_nonzero(a, k, nrows, ncols)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != k:
+            a[k], a[i0] = a[i0], a[k]
+        if j0 != k:
+            for row in a:
+                row[k], row[j0] = row[j0], row[k]
+        while True:
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+            p = a[k][k]
+            restart = False
+            for i in range(k + 1, nrows):
+                v = a[i][k]
+                if v:
+                    q, r = divmod(v, p)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    if r:
+                        # remainder becomes the new, strictly smaller pivot
+                        a[k], a[i] = a[i], a[k]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(k + 1, ncols):
+                v = a[k][j]
+                if v:
+                    q, r = divmod(v, p)
+                    for row in a:
+                        row[j] -= q * row[k]
+                    if r:
+                        for row in a:
+                            row[k], row[j] = row[j], row[k]
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+        k += 1
+
+    diag = [abs(a[i][i]) for i in range(steps)]
+    # pairwise gcd/lcm passes enforce the divisibility chain; diag(x, y) is
+    # unimodularly equivalent to diag(gcd, lcm)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            g = math.gcd(x, y)
+            if g == 0:
+                continue
+            diag[i], diag[j] = g, (x // g) * y
+    return tuple(diag)

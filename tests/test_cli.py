@@ -79,6 +79,31 @@ def test_bad_zero_over_zero_exit_code_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("name, exc, argv", [
+    ("branch_knot", AssertionError("Conway form [-2q, 2s] gave b(7,3)"),
+     ["branch-knot", "1", "-1"]),
+    ("alexander_from_braid3", ArithmeticError("det(burau - I)(t - 1) was not divisible"),
+     ["braid-alexander", "1 1 1"]),
+])
+def test_internal_check_failure_exit_code_3(capsys, monkeypatch, name, exc, argv):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert err == f"error: internal check failed: {exc}\n"
+
+
+def test_division_by_zero_stays_a_usage_error(capsys, monkeypatch):
+    def fail(*args):
+        raise ZeroDivisionError("division by the zero polynomial")
+
+    monkeypatch.setattr(cli, "alexander_from_braid3", fail)
+    assert run(capsys, "braid-alexander", "1 1 1")[0] == 2
+
+
 def test_h1_negative_fraction_coefficient(capsys):
     # -2/3 is a coefficient, not an option, wherever --json stands
     from takahashi.manifolds import h1_takahashi, normalize_spec

@@ -22,6 +22,7 @@ from takahashi.exactalg import (
 from oracles import (
     cofactor_det,
     fraction_det,
+    gcd_pivot_snf,
     rank_mod_p,
     sylvester_resultant,
     unity_root_abs_product,
@@ -108,6 +109,70 @@ def test_snf_random_divisibility_and_determinant():
         for p in (2, 3, 5, 7):
             divisible = sum(1 for d in facs if d % p == 0)
             assert divisible == min(nr, nc) - rank_mod_p(rows, p)
+
+
+def test_snf_chain_fixup_with_ones_and_zeros():
+    # the gcd/lcm passes skip the ones, which must still lead the chain,
+    # and move the zeros to the end
+    for diag, facs in (
+        ([1, 0, 6, 1, 4], (1, 1, 2, 12, 0)),
+        ([6, 1, 1, 4], (1, 1, 2, 12)),
+        ([0, 1], (1, 0)),
+        ([1, 1, 1], (1, 1, 1)),
+        ([4, 0, 0, 1, 2, 1], (1, 1, 2, 4, 0, 0)),
+    ):
+        assert smith_normal_form(BigIntMatrix.diagonal(diag)).invariant_factors == facs
+
+
+def _random_snf_input(rng, kind):
+    """(rows, ncols) of one of the shapes the homology routes hand to the
+    Smith form; sizes 0..12."""
+    nr = rng.randint(0, 12)
+    nc = nr if kind in ("dense", "banded", "unit") else rng.randint(0, 12)
+    if kind == "dense":
+        return [[rng.randint(-99, 99) for _ in range(nc)] for _ in range(nr)], nc
+    if kind == "banded":
+        # sparse pivot rows, like the surgery matrix: a band plus a corner
+        rows = [[rng.randint(-9, 9) if abs(i - j) <= 1 else 0 for j in range(nc)]
+                for i in range(nr)]
+        if nr > 2:
+            rows[0][-1] = rng.randint(-3, 3)
+        return rows, nc
+    if kind == "unit":
+        return [[rng.choice((-1, 0, 0, 1)) for _ in range(nc)] for _ in range(nr)], nc
+    if kind == "deficient":
+        r = rng.randint(0, max(0, min(nr, nc) - 1))
+        u = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(nr)]
+        v = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(r)]
+        return [[sum(u[i][t] * v[t][j] for t in range(r)) for j in range(nc)]
+                for i in range(nr)], nc
+    # non-square, entries sparse and dense alike
+    density = rng.random()
+    return [[rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)], nc
+
+
+@pytest.mark.parametrize("kind", ["dense", "banded", "unit", "deficient", "nonsquare"])
+def test_snf_matches_gcd_pivot_oracle_random(kind):
+    rng = random.Random(f"snf-{kind}")
+    for _ in range(300):
+        rows, nc = _random_snf_input(rng, kind)
+        snf = smith_normal_form(BigIntMatrix.from_rows(rows, ncols=nc))
+        assert snf.invariant_factors == gcd_pivot_snf(rows, nc), rows
+
+
+def test_snf_matches_sympy_random():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(20261018)
+    for _ in range(120):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-12, 12) if rng.random() < 0.7 else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        theirs = normalforms.invariant_factors(Matrix(rows), domain=ZZ)
+        ours = smith_normal_form(BigIntMatrix.from_rows(rows)).invariant_factors
+        assert ours == tuple(abs(int(d)) for d in theirs), rows
 
 
 def test_cokernel_free_rank():

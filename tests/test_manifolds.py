@@ -3,6 +3,7 @@ import math
 import pytest
 
 from takahashi import grouppres
+from takahashi.claims import grid_rationals
 from takahashi.exactalg import AbelianGroup, Rational, cokernel
 from takahashi.grouppres import abelianize, cyclic_presentation, takahashi_presentation
 from takahashi.knotkit import TwoBridge, alexander_two_bridge, branched_cover_homology
@@ -19,20 +20,7 @@ from takahashi.manifolds import (
     takahashi_determinant,
 )
 
-from oracles import rank_mod_p
-
-
-def reduced_grid(bound):
-    vals = {}
-    for p in range(0, bound + 1):
-        for q in range(-bound, bound + 1):
-            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-                continue
-            r = Rational(p, q)
-            if r.num == 0:
-                r = Rational(0, 1)
-            vals[(r.num, r.den)] = r
-    return sorted(vals.values(), key=lambda v: (v.num, v.den))
+from oracles import gcd_pivot_snf, rank_mod_p
 
 
 # -------------------------------------------------------------- normalization
@@ -128,6 +116,33 @@ def test_cyclic_route_matches_abelianized_cyclic_presentation():
                     assert h1_cyclic_route(spec) == cokernel(abelianize(pres))
 
 
+def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
+    # the surgery, circulant and cover matrices of M_n(+-1, +-1), as each
+    # route hands them to the Smith form, against the plain reduction
+    from takahashi import exactalg
+
+    real = exactalg.smith_normal_form
+    checked = []
+
+    def checking(m):
+        snf = real(m)
+        assert snf.invariant_factors == gcd_pivot_snf(m.to_lists(), m.ncols), m
+        checked.append(m)
+        return snf
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", checking)
+    for n in range(1, 41):
+        for a in (1, -1):
+            for b in (1, -1):
+                spec = normalize_spec(n, Rational(a, 1), Rational(b, 1))
+                h1_takahashi(spec)
+                h1_cyclic_route(spec)
+                delta = alexander_two_bridge(branch_knot(spec.pq.den, spec.rs.den))
+                branched_cover_homology(delta, n)
+    # two Smith forms per spec, three from n = 2 on (the 1-fold cover is S^3)
+    assert len(checked) == 40 * 4 * 3 - 4
+
+
 def test_homology_routes_build_no_words(monkeypatch):
     spec = normalize_spec(5, Rational(3, 2), Rational(1, -2))
 
@@ -218,15 +233,28 @@ def test_symmetry_examples():
 
 
 def test_symmetry_grid():
-    grid = reduced_grid(3)
+    grid = grid_rationals(3)
     for n in range(1, 7):
         for a in grid:
             for b in grid:
                 assert symmetry_check(normalize_spec(n, a, b))
 
 
+def test_sym_claim_raises_on_a_variant_outside_the_grid(monkeypatch):
+    # the claim looks every variant up among the grid's groups; a variant
+    # it cannot find is an error, never a skipped comparison
+    from takahashi import claims
+
+    def outside(spec):
+        return (normalize_spec(spec.n, Rational(7, 1), spec.rs),)
+
+    monkeypatch.setattr(claims, "symmetry_variants", outside)
+    with pytest.raises(AssertionError, match="not closed under the symmetries"):
+        claims._claim_sym_grid()
+
+
 def test_lemma1_grid():
-    grid = reduced_grid(3)
+    grid = grid_rationals(3)
     for a in grid:
         for b in grid:
             spec = normalize_spec(1, a, b)
