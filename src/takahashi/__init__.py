@@ -54,12 +54,10 @@ from .manifolds import (
     TakahashiSpec,
     base_space_h1,
     branch_knot,
-    cross_check_prop4,
     h1_cyclic_route,
     h1_takahashi,
     normalize_spec,
     representer_order,
-    symmetry_check,
     takahashi_determinant,
 )
 

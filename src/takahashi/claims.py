@@ -11,6 +11,7 @@ never counts as a pass or a failure.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .exactalg import Rational
@@ -18,14 +19,16 @@ from .grouppres import relator_identity_check
 from .knotkit import (
     BraidWord3,
     alexander_from_braid3,
+    alexander_two_bridge,
     branched_cover_homology,
     branched_cover_order,
     normalize_two_bridge,
     two_bridge_equivalent,
 )
 from .manifolds import (
+    TakahashiSpec,
     base_space_h1,
-    cross_check_prop4,
+    branch_knot,
     h1_cyclic_route,
     h1_takahashi,
     normalize_spec,
@@ -65,6 +68,32 @@ def grid_rationals(bound: int) -> list[Rational]:
                 r = Rational(0, 1)
             seen[(r.num, r.den)] = r
     return sorted(seen.values(), key=lambda v: (v.num, v.den))
+
+
+def grid_specs(bound: int, ns: Iterable[int]) -> Iterator[TakahashiSpec]:
+    """normalize_spec(n, a, b) for each n in ns and each pair a, b of
+    grid_rationals(bound), n outermost."""
+    values = grid_rationals(bound)
+    for n in ns:
+        for a in values:
+            for b in values:
+                yield normalize_spec(n, a, b)
+
+
+def _grid_claim(claim_id: str, description: str, noun: str,
+                points: Iterable[tuple[object, bool]]) -> ClaimReport:
+    """A claim checked point by point: points yields (point, ok) pairs, and
+    the report reads "k of N <noun>", naming the first failing point."""
+    total, failures = 0, []
+    for point, ok in points:
+        total += 1
+        if not ok:
+            failures.append(point)
+    computed = f"{total - len(failures)} of {total} {noun}"
+    if failures:
+        computed += f"; first failure at {failures[0]}"
+    return ClaimReport(claim_id, description, f"{total} of {total} {noun}", computed,
+                       _verdict(not failures))
 
 
 def _claim_r1_manifold_1296() -> ClaimReport:
@@ -122,109 +151,86 @@ def _claim_r1_rational_135() -> ClaimReport:
 
 
 def _claim_l1_grid() -> ClaimReport:
-    values = grid_rationals(3)
-    total = ok = 0
-    for a in values:
-        for b in values:
-            spec = normalize_spec(1, a, b)
-            total += 1
-            if h1_takahashi(spec) == base_space_h1(spec.pq, spec.rs):
-                ok += 1
-    return ClaimReport(
+    return _grid_claim(
         "L1-grid",
         "H1(M_1(p/q,r/s)) = Z/p + Z/r structurally for all reduced coefficients "
         "bounded by 3, infinity included",
-        f"{total} of {total} pairs agree",
-        f"{ok} of {total} pairs agree",
-        _verdict(ok == total),
+        "pairs agree",
+        ((spec, h1_takahashi(spec) == base_space_h1(spec.pq, spec.rs))
+         for spec in grid_specs(3, [1])),
     )
 
 
 def _claim_p4_grid() -> ClaimReport:
-    total = ok = 0
-    for q in range(-3, 4):
-        for s in range(-3, 4):
-            for n in range(2, 7):
-                total += 1
-                if cross_check_prop4(q, s, n):
-                    ok += 1
-    return ClaimReport(
+    def points():
+        for q in range(-3, 4):
+            for s in range(-3, 4):
+                delta = alexander_two_bridge(branch_knot(q, s))
+                for n in range(2, 7):
+                    spec = normalize_spec(n, Rational(1, q), Rational(1, s))
+                    yield spec, h1_takahashi(spec) == branched_cover_homology(delta, n)
+
+    return _grid_claim(
         "P4-grid",
         "H1(M_n(1/q,1/s)) matches H1 of the n-fold cyclic cover of S^3 branched "
         "over b(|4sq-1|,2s), structurally, for |q|,|s| <= 3 and 2 <= n <= 6",
-        f"{total} of {total} points agree",
-        f"{ok} of {total} points agree",
-        _verdict(ok == total),
+        "points agree",
+        points(),
     )
 
 
 def _claim_sym_grid() -> ClaimReport:
-    values = grid_rationals(3)
-    total = ok = 0
-    for n in range(1, 6):
-        # the grid is closed under the symmetries, so each spec's H_1 is
-        # computed once and every variant is looked up
-        h1 = {}
-        for a in values:
-            for b in values:
-                spec = normalize_spec(n, a, b)
-                h1[spec] = h1_takahashi(spec)
-        for spec, g in h1.items():
-            total += 1
-            variants = symmetry_variants(spec)
-            missing = [v for v in variants if v not in h1]
-            if missing:
-                raise AssertionError(f"SYM grid is not closed under the symmetries: {missing[0]}")
-            if all(h1[v] == g for v in variants):
-                ok += 1
-    return ClaimReport(
+    # the grid is closed under the symmetries, so each spec's H_1 is
+    # computed once and every variant is looked up
+    h1 = {spec: h1_takahashi(spec) for spec in grid_specs(3, range(1, 6))}
+
+    def invariant(spec):
+        variants = symmetry_variants(spec)
+        missing = [v for v in variants if v not in h1]
+        if missing:
+            raise AssertionError(f"SYM grid is not closed under the symmetries: {missing[0]}")
+        return all(h1[v] == h1[spec] for v in variants)
+
+    return _grid_claim(
         "SYM-grid",
         "H1 invariance under (p/q,r/s) -> (-p/q,-r/s) and (r/s,p/q) for n <= 5 "
         "and coefficient entries bounded by 3",
-        f"{total} of {total} specs invariant",
-        f"{ok} of {total} specs invariant",
-        _verdict(ok == total),
+        "specs invariant",
+        ((spec, invariant(spec)) for spec in h1),
     )
 
 
 def _claim_eq1_identity() -> ClaimReport:
-    total = ok = 0
-    for n in range(1, 6):
-        for p in range(-3, 4):
-            for q in range(-3, 4):
-                for s in (-3, -2, -1, 1, 2, 3):
-                    total += 1
-                    if relator_identity_check(n, p, q, s):
-                        ok += 1
-    return ClaimReport(
+    return _grid_claim(
         "EQ1-identity",
         "the rewritten cyclic relators match the original ones as reduced words "
         "(up to cyclic shift for s < 0) for n <= 5, |p|,|q| <= 3, 1 <= |s| <= 3",
-        f"{total} of {total} identities hold",
-        f"{ok} of {total} identities hold",
-        _verdict(ok == total),
+        "identities hold",
+        (((n, p, q, s), relator_identity_check(n, p, q, s))
+         for n in range(1, 6)
+         for p in range(-3, 4)
+         for q in range(-3, 4)
+         for s in (-3, -2, -1, 1, 2, 3)),
     )
 
 
 def _claim_schubert() -> ClaimReport:
-    total = ok = 0
-    for q in range(-5, 6):
-        for s in range(-5, 6):
-            alpha = abs(4 * s * q - 1)
-            if alpha < 2:
-                continue
-            total += 1
-            k1 = normalize_two_bridge(alpha, 2 * s)
-            k2 = normalize_two_bridge(alpha, 2 * q)
-            if two_bridge_equivalent(k1, k2, allow_mirror=False):
-                ok += 1
-    return ClaimReport(
+    def points():
+        for q in range(-5, 6):
+            for s in range(-5, 6):
+                alpha = abs(4 * s * q - 1)
+                if alpha < 2:
+                    continue
+                k1 = normalize_two_bridge(alpha, 2 * s)
+                k2 = normalize_two_bridge(alpha, 2 * q)
+                yield (q, s), two_bridge_equivalent(k1, k2, allow_mirror=False)
+
+    return _grid_claim(
         "SCHUBERT-2s2q",
         "b(|4sq-1|,2s) and b(|4sq-1|,2q) are Schubert-equivalent (the congruence "
         "(2s)(2q) = 1 mod |4sq-1|) for |q|,|s| <= 5",
-        f"{total} of {total} pairs equivalent",
-        f"{ok} of {total} pairs equivalent",
-        _verdict(ok == total),
+        "pairs equivalent",
+        points(),
     )
 
 

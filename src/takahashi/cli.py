@@ -10,11 +10,12 @@ self-check failure (a bug, reported on one line, not as a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 
-from .claims import FAIL, grid_rationals, run_claims
+from .claims import FAIL, grid_specs, run_claims
 from .exactalg import AbelianGroup, IntPoly, Rational
 from .grouppres import cyclic_presentation, takahashi_presentation
 from .knotkit import (
@@ -242,22 +243,18 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
-    values = grid_rationals(args.grid_max)
     rows = []
-    for n in range(2, args.n_max + 1):
-        for a in values:
-            for b in values:
-                spec = normalize_spec(n, a, b)
-                g = h1_takahashi(spec)
-                rows.append(
-                    {
-                        "n": n,
-                        "pq": str(spec.pq),
-                        "rs": str(spec.rs),
-                        **group_fields(g),
-                        "pOneROne": spec.pq.num == 1 and spec.rs.num == 1,
-                    }
-                )
+    for spec in grid_specs(args.grid_max, range(2, args.n_max + 1)):
+        g = h1_takahashi(spec)
+        rows.append(
+            {
+                "n": spec.n,
+                "pq": str(spec.pq),
+                "rs": str(spec.rs),
+                **group_fields(g),
+                "pOneROne": spec.pq.num == 1 and spec.rs.num == 1,
+            }
+        )
     if args.json:
         emit_json({"nMax": args.n_max, "gridMax": args.grid_max, "rows": rows})
     else:
@@ -367,19 +364,35 @@ def _coefficients_as_positionals(argv: list[str]) -> list[str]:
     return [argv[0], *options, "--", *positionals]
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int <-> str digit limit for one call: an order can pass
+    4300 digits.  Interpreters before 3.10.7 have no limit to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_coefficients_as_positionals(argv))
-    try:
-        return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, ArithmeticError) as exc:
-        # a failed self-check, such as branch_knot's Conway-form test or the
-        # Burau route's exact division
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 3
+    with _unlimited_int_digits():
+        args = build_parser().parse_args(_coefficients_as_positionals(argv))
+        try:
+            return args.func(args)
+        except (ValueError, ZeroDivisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (AssertionError, ArithmeticError) as exc:
+            # a failed self-check, such as branch_knot's Conway-form test or
+            # the Burau route's exact division
+            print(f"error: internal check failed: {exc}", file=sys.stderr)
+            return 3
 
 
 def entry() -> None:

@@ -1,7 +1,8 @@
 """Surgery-description layer: normalization of the coefficients of a
 periodic Takahashi manifold, the homology routes through both
 presentation families, the genus-one branching knot of the p = r = 1
-family, and the cross-checks tying all of these together.
+family, the lens-space base of n = 1, and the coefficient symmetries.
+The claims suite (takahashi.claims) compares these with one another.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .grouppres import representer_polynomial, takahashi_matrix
 from .knotkit import (
     ConwayForm,
     TwoBridge,
-    alexander_two_bridge,
-    branched_cover_homology,
     conway_to_fraction,
     normalize_two_bridge,
     two_bridge_equivalent,
@@ -38,8 +37,6 @@ __all__ = [
     "representer_order",
     "branch_knot",
     "base_space_h1",
-    "cross_check_prop4",
-    "symmetry_check",
     "symmetry_variants",
 ]
 
@@ -125,17 +122,6 @@ def base_space_h1(pq: Rational, rs: Rational) -> AbelianGroup:
     return cokernel(BigIntMatrix.diagonal([abs(pq.num), abs(rs.num)]))
 
 
-def cross_check_prop4(q: int, s: int, n: int) -> bool:
-    """Compare H_1 of M_n(1/q, 1/s) with H_1 of the n-fold cyclic cover of
-    S^3 branched over b(|4sq - 1|, 2s), structurally."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    spec = normalize_spec(n, Rational(1, q), Rational(1, s))
-    via_surgery = h1_takahashi(spec)
-    via_cover = branched_cover_homology(alexander_two_bridge(branch_knot(q, s)), n)
-    return via_surgery == via_cover
-
-
 def symmetry_variants(spec: TakahashiSpec) -> tuple[TakahashiSpec, ...]:
     """The images of spec under the coefficient symmetries
     (p/q, r/s) -> (-p/q, -r/s), (r/s, p/q) and (-r/s, -p/q)."""
@@ -144,13 +130,6 @@ def symmetry_variants(spec: TakahashiSpec) -> tuple[TakahashiSpec, ...]:
         normalize_spec(spec.n, spec.rs, spec.pq),
         normalize_spec(spec.n, -spec.rs, -spec.pq),
     )
-
-
-def symmetry_check(spec: TakahashiSpec) -> bool:
-    """Homology-level check of the coefficient symmetries: H_1 must agree
-    on spec and on each of its symmetry_variants."""
-    g = h1_takahashi(spec)
-    return all(h1_takahashi(v) == g for v in symmetry_variants(spec))
 
 
 def takahashi_determinant(spec: TakahashiSpec) -> int:

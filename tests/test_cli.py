@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -102,6 +103,36 @@ def test_division_by_zero_stays_a_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "alexander_from_braid3", fail)
     assert run(capsys, "braid-alexander", "1 1 1")[0] == 2
+
+
+def test_h1_order_past_the_int_str_digit_limit(capsys):
+    # |H_1(M_3(p, p))| for a 1500-digit p has over 4300 digits, the default
+    # int <-> str limit from Python 3.10.7 on; main lifts the limit for its
+    # own call, before parsing, and leaves the caller's setting as it was
+    from takahashi.manifolds import h1_takahashi, normalize_spec
+
+    p = "7" * 1500 + "/1"
+    long_p = "7" * 5000  # H_1(M_1(long_p, 1)) = Z/long_p
+    expected = h1_takahashi(normalize_spec(3, cli.rational_arg(p), cli.rational_arg(p))).order()
+    assert expected > 10 ** 4300
+    limited = hasattr(sys, "set_int_max_str_digits")
+    saved = sys.get_int_max_str_digits() if limited else None
+    try:
+        if limited:
+            sys.set_int_max_str_digits(4321)
+        rc_text, out_text, _ = run(capsys, "h1", "3", p, p)
+        rc_json, out_json, _ = run(capsys, "h1", "3", p, p, "--json")
+        rc_long, out_long, _ = run(capsys, "h1", "1", long_p, "1", "--json")
+        if limited:
+            assert sys.get_int_max_str_digits() == 4321
+            sys.set_int_max_str_digits(0)
+        assert rc_text == rc_json == rc_long == 0
+        assert int(out_text.split("order: ")[1]) == expected
+        assert json.loads(out_json)["order"] == expected
+        assert json.loads(out_long)["order"] == int(long_p)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_h1_negative_fraction_coefficient(capsys):
@@ -333,6 +364,54 @@ def test_verify_paper_exit_code_1_on_failure(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify-paper")
     assert rc == 1
     assert "1 failed" in out
+
+
+@pytest.mark.parametrize("n, failing", [
+    (1, {"L1-grid": "255 of 256 pairs agree", "SYM-grid": "1276 of 1280 specs invariant"}),
+    (3, {"P4-grid": "244 of 245 points agree", "SYM-grid": "1276 of 1280 specs invariant"}),
+])
+def test_failing_grid_claim_names_its_first_failing_point(capsys, monkeypatch, n, failing):
+    # H_1 made wrong at M_n(1/-3, 1/-2), the first spec of its symmetry
+    # orbit in grid order, and the EQ1 identity made to fail at one point
+    from takahashi import claims
+    from takahashi.manifolds import normalize_spec
+
+    bad_spec = normalize_spec(n, Rational(1, -3), Rational(1, -2))
+    real_h1, real_identity = claims.h1_takahashi, claims.relator_identity_check
+
+    def wrong_h1(spec):
+        g = real_h1(spec)
+        return AbelianGroup(g.torsion, g.free_rank + 1) if spec == bad_spec else g
+
+    def wrong_identity(*point):
+        return point != (2, -1, 3, 2) and real_identity(*point)
+
+    monkeypatch.setattr(claims, "h1_takahashi", wrong_h1)
+    monkeypatch.setattr(claims, "relator_identity_check", wrong_identity)
+    expected = {cid: f"{counts}; first failure at M_{n}(1/-3, 1/-2)"
+                for cid, counts in failing.items()}
+    expected["EQ1-identity"] = "1469 of 1470 identities hold; first failure at (2, -1, 3, 2)"
+    rc, out, _ = run(capsys, "verify-paper", "--json")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["failures"] == len(expected)
+    for c in doc["claims"]:
+        if c["claimId"] in expected:
+            assert (c["status"], c["computed"]) == ("fail", expected[c["claimId"]])
+        else:
+            assert c["status"] != "fail"
+
+
+def test_grid_claim_report():
+    from takahashi.claims import _grid_claim
+
+    passing = _grid_claim("X", "d", "pairs equivalent", [((1, 2), True), ((3, 4), True)])
+    assert passing == ClaimReport("X", "d", "2 of 2 pairs equivalent",
+                                  "2 of 2 pairs equivalent", "pass")
+    failing = _grid_claim("X", "d", "pairs equivalent",
+                          [((1, 2), True), ((3, 4), False), ((5, 6), False)])
+    assert failing == ClaimReport("X", "d", "3 of 3 pairs equivalent",
+                                  "1 of 3 pairs equivalent; first failure at (3, 4)", "fail")
 
 
 # -------------------------------------------------------------- conjecture-scan

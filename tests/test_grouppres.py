@@ -246,14 +246,6 @@ def test_relator_identity_detects_a_bumped_exponent(monkeypatch):
         assert not relator_identity_check(n, p, q, s)
 
 
-def test_relator_identity_grid():
-    for n in range(1, 6):
-        for p in range(-3, 4):
-            for q in range(-3, 4):
-                for s in (-3, -2, -1, 1, 2, 3):
-                    assert relator_identity_check(n, p, q, s)
-
-
 # -------------------------------------------------------- representer poly
 
 def test_representer_fibonacci():

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from takahashi import grouppres
-from takahashi.claims import grid_rationals
+from takahashi import claims, grouppres
+from takahashi.claims import grid_specs
 from takahashi.exactalg import AbelianGroup, Rational, cokernel
 from takahashi.grouppres import abelianize, cyclic_presentation, takahashi_presentation
 from takahashi.knotkit import TwoBridge, alexander_two_bridge, branched_cover_homology
@@ -11,12 +11,11 @@ from takahashi.manifolds import (
     TakahashiSpec,
     base_space_h1,
     branch_knot,
-    cross_check_prop4,
     h1_cyclic_route,
     h1_takahashi,
     normalize_spec,
     representer_order,
-    symmetry_check,
+    symmetry_variants,
     takahashi_determinant,
 )
 
@@ -204,16 +203,29 @@ def test_base_space_h1():
 
 # ---------------------------------------------------------------- cross-checks
 
+def prop4_holds(q, s, n):
+    """H_1(M_n(1/q, 1/s)) equals H_1 of the n-fold cyclic cover of S^3
+    branched over b(|4sq - 1|, 2s), structurally."""
+    delta = alexander_two_bridge(branch_knot(q, s))
+    spec = normalize_spec(n, Rational(1, q), Rational(1, s))
+    return h1_takahashi(spec) == branched_cover_homology(delta, n)
+
+
+def symmetric(spec):
+    """H_1 agrees on spec and on each of its symmetry variants, each
+    computed on its own."""
+    g = h1_takahashi(spec)
+    return all(h1_takahashi(v) == g for v in symmetry_variants(spec))
+
+
 def test_prop4_examples():
-    assert cross_check_prop4(1, 1, 5)
-    assert cross_check_prop4(1, -1, 2)
-    assert cross_check_prop4(0, 3, 4)
-    assert cross_check_prop4(2, 0, 6)
+    assert prop4_holds(1, 1, 5)
+    assert prop4_holds(1, -1, 2)
+    assert prop4_holds(0, 3, 4)
+    assert prop4_holds(2, 0, 6)
 
 
 def test_prop4_double_cover_value():
-    from takahashi.knotkit import alexander_two_bridge, branched_cover_homology
-
     g = branched_cover_homology(alexander_two_bridge(branch_knot(1, -1)), 2)
     assert g.order() == 5
 
@@ -223,42 +235,43 @@ def test_prop4_grid():
     for q in range(-3, 4):
         for s in range(-3, 4):
             for n in range(1, 7):
-                assert cross_check_prop4(q, s, n)
+                assert prop4_holds(q, s, n)
+
+
+def test_p4_claim_computes_each_knot_polynomial_once(monkeypatch):
+    calls = []
+
+    def counting(knot):
+        calls.append(knot)
+        return alexander_two_bridge(knot)
+
+    monkeypatch.setattr(claims, "alexander_two_bridge", counting)
+    report = claims._claim_p4_grid()
+    assert report.status == claims.PASS
+    assert report.computed == "245 of 245 points agree"
+    assert len(calls) == 49
 
 
 def test_symmetry_examples():
-    assert symmetry_check(normalize_spec(3, Rational(3, 1), Rational(-3, 1)))
-    assert symmetry_check(normalize_spec(2, Rational(3, 2), Rational(5, 3)))
-    assert symmetry_check(normalize_spec(4, Rational(2, 3), Rational(2, 3)))
+    assert symmetric(normalize_spec(3, Rational(3, 1), Rational(-3, 1)))
+    assert symmetric(normalize_spec(2, Rational(3, 2), Rational(5, 3)))
+    assert symmetric(normalize_spec(4, Rational(2, 3), Rational(2, 3)))
 
 
 def test_symmetry_grid():
-    grid = grid_rationals(3)
-    for n in range(1, 7):
-        for a in grid:
-            for b in grid:
-                assert symmetry_check(normalize_spec(n, a, b))
+    for spec in grid_specs(3, range(1, 7)):
+        assert symmetric(spec)
 
 
 def test_sym_claim_raises_on_a_variant_outside_the_grid(monkeypatch):
     # the claim looks every variant up among the grid's groups; a variant
     # it cannot find is an error, never a skipped comparison
-    from takahashi import claims
-
     def outside(spec):
         return (normalize_spec(spec.n, Rational(7, 1), spec.rs),)
 
     monkeypatch.setattr(claims, "symmetry_variants", outside)
     with pytest.raises(AssertionError, match="not closed under the symmetries"):
         claims._claim_sym_grid()
-
-
-def test_lemma1_grid():
-    grid = grid_rationals(3)
-    for a in grid:
-        for b in grid:
-            spec = normalize_spec(1, a, b)
-            assert h1_takahashi(spec) == base_space_h1(spec.pq, spec.rs)
 
 
 def test_representer_order_fibonacci_family_large_n():
