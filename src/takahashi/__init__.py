@@ -32,6 +32,7 @@ from .grouppres import (
     free_reduce,
     relator_identity_check,
     representer_polynomial,
+    takahashi_blocks,
     takahashi_matrix,
     takahashi_presentation,
 )

@@ -243,6 +243,10 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    if args.grid_max < 1:
+        raise ValueError("--grid-max must be at least 1")
+    if args.n_max < 2:
+        raise ValueError("--n-max must be at least 2: the scan starts at n = 2")
     rows = []
     for spec in grid_specs(args.grid_max, range(2, args.n_max + 1)):
         g = h1_takahashi(spec)
@@ -333,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture-scan", help="H1 table over a coefficient grid")
     p.add_argument("--grid-max", type=int, default=2, metavar="K",
-                   help="coefficient entry bound (default 2)")
+                   help="coefficient entry bound, at least 1 (default 2)")
     p.add_argument("--n-max", type=int, default=4, metavar="N",
-                   help="largest n to scan (default 4)")
+                   help="largest n to scan, at least 2 (default 4)")
     add_json(p)
     p.set_defaults(func=cmd_conjecture_scan)
 

@@ -19,6 +19,7 @@ __all__ = [
     "abelianize",
     "takahashi_presentation",
     "takahashi_matrix",
+    "takahashi_blocks",
     "cyclic_presentation",
     "cyclic_presentation_rewritten",
     "relator_identity_check",
@@ -150,6 +151,22 @@ def takahashi_matrix(n: int, pq: Rational, rs: Rational) -> BigIntMatrix:
     summed straight from the relator letters without building Words;
     equal entry for entry to abelianize(takahashi_presentation(n, pq, rs))."""
     return _exponent_sums(_takahashi_relators(n, pq, rs), 2 * n)
+
+
+def takahashi_blocks(pq: Rational, rs: Rational) -> tuple[BigIntMatrix, BigIntMatrix]:
+    """The 2x2 blocks (A0, A1) of one period of the surgery relation matrix.
+
+    Relators 2i-1 and 2i touch only the generator pairs of periods i and
+    i + 1, so the 2n x 2n matrix is block-circulant: I (x) A0 + P (x) A1,
+    with P the n-cycle shift.  The blocks are summed from the first two
+    relators at n = 2, where no subscript wraps, with block index g // 2;
+    they do not depend on n, and at n = 1 the matrix is A0 + A1.
+    """
+    blocks = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for row, letters in zip((0, 1), _takahashi_relators(2, pq, rs)):
+        for g, e in letters:
+            blocks[g // 2][row][g % 2] += e
+    return BigIntMatrix.from_rows(blocks[0]), BigIntMatrix.from_rows(blocks[1])
 
 
 def _power(letters: _Letters, k: int) -> _Letters:

@@ -435,3 +435,14 @@ def test_conjecture_scan_text(capsys):
     rc, out, _ = run(capsys, "conjecture-scan", "--grid-max", "1", "--n-max", "2")
     assert rc == 0
     assert "p=1=r" in out
+
+
+@pytest.mark.parametrize("option, value", [("--n-max", "1"), ("--n-max", "0"),
+                                           ("--grid-max", "0"), ("--grid-max", "-1")])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_conjecture_scan_rejects_an_empty_grid(capsys, option, value, json_flag):
+    rc, out, err = run(capsys, "conjecture-scan", option, value, *json_flag)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} must be at least ")
+    assert err.count("\n") == 1

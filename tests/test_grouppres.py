@@ -15,6 +15,7 @@ from takahashi.grouppres import (
     free_reduce,
     relator_identity_check,
     representer_polynomial,
+    takahashi_blocks,
     takahashi_matrix,
     takahashi_presentation,
     word,
@@ -138,6 +139,35 @@ def test_surgery_builders_reject_n_zero():
     for build in (cyclic_presentation, cyclic_presentation_rewritten, representer_polynomial):
         with pytest.raises(ValueError):
             build(0, 1, 1, 1)
+
+
+def test_takahashi_blocks_are_the_period_of_the_relators():
+    # the formula A0 = [[q, -r], [0, s]], A1 = [[-q, 0], [p, -s]], pinned
+    # against the blocks summed from the relator letters
+    for a in grid_rationals(3):
+        for b in grid_rationals(3):
+            (p, q), (r, s) = (a.num, a.den), (b.num, b.den)
+            a0, a1 = takahashi_blocks(a, b)
+            assert a0.to_lists() == [[q, -r], [0, s]]
+            assert a1.to_lists() == [[-q, 0], [p, -s]]
+
+
+def test_takahashi_blocks_rebuild_the_matrix():
+    # I (x) A0 + P (x) A1, P the n-cycle shift; at n = 1 and 2 the offsets
+    # 0 and 1 collide mod n and the blocks add
+    grid = grid_rationals(3)
+    for n in range(1, 9):
+        for a in grid:
+            for b in grid:
+                blocks = takahashi_blocks(a, b)
+                rows = [[0] * (2 * n) for _ in range(2 * n)]
+                for i in range(n):
+                    for offset, block in enumerate(blocks):
+                        j = (i + offset) % n
+                        for u in range(2):
+                            for v in range(2):
+                                rows[2 * i + u][2 * j + v] += block.entry(u, v)
+                assert rows == takahashi_matrix(n, a, b).to_lists()
 
 
 def test_takahashi_drops_zero_exponent_letters():

@@ -1,11 +1,17 @@
 import math
+import random
 
 import pytest
 
 from takahashi import claims, grouppres
 from takahashi.claims import grid_specs
-from takahashi.exactalg import AbelianGroup, Rational, cokernel
-from takahashi.grouppres import abelianize, cyclic_presentation, takahashi_presentation
+from takahashi.exactalg import AbelianGroup, Rational, cokernel, determinant
+from takahashi.grouppres import (
+    abelianize,
+    cyclic_presentation,
+    takahashi_matrix,
+    takahashi_presentation,
+)
 from takahashi.knotkit import TwoBridge, alexander_two_bridge, branched_cover_homology
 from takahashi.manifolds import (
     TakahashiSpec,
@@ -180,6 +186,51 @@ def test_determinant_identity_r_one_family():
                         assert det == res == 0
 
 
+def bareiss(spec):
+    return determinant(takahashi_matrix(spec.n, spec.pq, spec.rs))
+
+
+def test_takahashi_determinant_is_the_signed_bareiss_determinant():
+    for spec in grid_specs(3, range(1, 13)):
+        assert takahashi_determinant(spec) == bareiss(spec), spec
+
+
+def test_takahashi_determinant_signed_random():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 2000:
+        p, q, r, s = (rng.randint(-30, 30) for _ in range(4))
+        if math.gcd(p, q) != 1 or math.gcd(r, s) != 1:
+            continue
+        spec = normalize_spec(rng.randint(1, 25), Rational(p, q), Rational(r, s))
+        assert takahashi_determinant(spec) == bareiss(spec), spec
+        checked += 1
+
+
+def test_takahashi_determinant_sign_with_an_infinite_coefficient():
+    # qs = 0 leaves det A(t) = pr t of degree 1, and det = (-1)^(n+1) (pr)^n;
+    # resultant(det A, t^n - 1) would flip the sign at odd n
+    for n, pq, rs, det in ((3, Rational(1, 0), Rational(2, 1), 8),
+                           (5, Rational(3, 1), Rational(1, 0), 243),
+                           (4, Rational(1, 0), Rational(2, 1), -16)):
+        spec = normalize_spec(n, pq, rs)
+        assert takahashi_determinant(spec) == bareiss(spec) == det
+
+
+def lucas(k):
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_takahashi_determinant_fibonacci_family_large_n():
+    # |det| = L_2n - 2 at n = 10^4, a 20000 x 20000 matrix Bareiss cannot reach
+    n = 10_000
+    spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
+    assert abs(takahashi_determinant(spec)) == lucas(2 * n) - 2 == representer_order(spec)
+
+
 # --------------------------------------------------------------- branch knots
 
 def test_branch_knot_figure_eight():
@@ -278,7 +329,4 @@ def test_representer_order_fibonacci_family_large_n():
     # |H_1(M_n(1, -1))| = L_2n - 2; a Sylvester determinant of size 2002
     # would take minutes, the remainder sequence takes milliseconds
     n = 2000
-    a, b = 2, 1
-    for _ in range(2 * n):
-        a, b = b, a + b
-    assert representer_order(normalize_spec(n, Rational(1, 1), Rational(-1, 1))) == a - 2
+    assert representer_order(normalize_spec(n, Rational(1, 1), Rational(-1, 1))) == lucas(2 * n) - 2
