@@ -15,10 +15,10 @@ from .exactalg import (
     IntPoly,
     Rational,
     SnfResult,
-    circulant_of_poly,
     cokernel,
     cyclotomic_quotient,
     determinant,
+    multiplication_matrix,
     normalize_up_to_units,
     resultant,
     smith_normal_form,

@@ -31,7 +31,7 @@ __all__ = [
     "cokernel",
     "resultant",
     "cyclotomic_quotient",
-    "circulant_of_poly",
+    "multiplication_matrix",
     "normalize_up_to_units",
     "poly_divmod",
     "laurent_add",
@@ -489,19 +489,30 @@ def cyclotomic_quotient(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-def circulant_of_poly(f: IntPoly, n: int) -> BigIntMatrix:
-    """Matrix of multiplication by f(t) on Z[t]/(t^n - 1).
+def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
+    """Matrix of multiplication by f on Z[t]/(g), for g monic up to sign.
 
-    Column j holds the coefficients of f * t^j reduced mod t^n - 1, so
-    |det| equals |resultant(f, t^n - 1)|.
+    Row k is f * t^k mod g, k < deg g, so the cokernel is Z[t]/(f, g) and
+    |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.  Row 0
+    is the remainder of f and each next row t times the last: a shift whose
+    top coefficient c, when nonzero, adds -lc(g) * c * g_i at each nonzero
+    lower term g_i of g, since t^(deg g) = -lc(g) * (g - lc(g) t^(deg g)).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    wrapped = [0] * n
-    for k, c in enumerate(f.coeffs):
-        wrapped[k % n] += c
-    rows = [[wrapped[(i - j) % n] for j in range(n)] for i in range(n)]
-    return BigIntMatrix.from_rows(rows, ncols=n)
+    if g.is_zero or g.coeffs[-1] not in (1, -1):
+        raise ValueError("the modulus must be monic up to sign")
+    d = g.degree
+    wrap = [(i, -g.coeffs[-1] * c) for i, c in enumerate(g.coeffs[:-1]) if c]
+    row = list(poly_divmod(f, g)[1].coeffs)
+    row += [0] * (d - len(row))
+    rows = []
+    for _ in range(d):
+        rows.append(row)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for i, w in wrap:
+                row[i] += top * w
+    return BigIntMatrix.from_rows(rows, ncols=d)
 
 
 def normalize_up_to_units(f: "IntPoly | Mapping[int, int]") -> IntPoly:

@@ -275,7 +275,7 @@ def representer_polynomial(n: int, p: int, q: int, s: int) -> IntPoly:
     the canonical representative is qs t^2 + (p - 2qs) t + qs up to units.
     For n <= 2 the offsets collide mod n and the polynomial collapses
     (n = 1 gives the constant p).  Multiplication by the result f on
-    Z[t]/(t^n - 1) (exactalg.circulant_of_poly) is then the relation
+    Z[t]/(t^n - 1) (exactalg.multiplication_matrix) is then the relation
     matrix of cyclic_presentation up to the unit +-t^k, and
     |resultant(f, t^n - 1)| is the order of the abelianized group
     whenever that is finite.

@@ -11,7 +11,6 @@ from typing import Mapping
 
 from .exactalg import (
     AbelianGroup,
-    BigIntMatrix,
     IntPoly,
     Rational,
     cokernel,
@@ -19,6 +18,7 @@ from .exactalg import (
     laurent_add,
     laurent_mul,
     laurent_sub,
+    multiplication_matrix,
     normalize_up_to_units,
     poly_divmod,
     resultant,
@@ -326,35 +326,17 @@ def alexander_from_braid3(b: BraidWord3) -> AlexanderPoly:
 
 def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     """H_1 of the n-fold cyclic cover of S^3 branched over a knot with
-    Alexander polynomial delta.
-
-    Computed structurally as the cokernel of the (n-1) x (n-1) matrix of
-    multiplication by delta on Z[t]/(1 + t + ... + t^(n-1)): row k holds
-    delta * t^k reduced mod 1 + ... + t^(n-1).  Delta is reduced once and
-    each next row is t times the last, a shift in which the top
-    coefficient c wraps to -c on every entry, because
-    t^(n-1) = -(1 + ... + t^(n-2)).  The order, when finite,
-    independently equals |resultant(delta, 1 + ... + t^(n-1))| (see
-    branched_cover_order).
+    Alexander polynomial delta: the cokernel of multiplication by delta on
+    Z[t]/(1 + t + ... + t^(n-1)) (exactalg.multiplication_matrix, which the
+    cyclic route also uses), a 0 x 0 matrix at n = 1.  The order, when
+    finite, independently equals |resultant(delta, 1 + ... + t^(n-1))|
+    (see branched_cover_order).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return AbelianGroup()
-    reduced = poly_divmod(delta.poly, cyclotomic_quotient(n))[1].coeffs
-    row = list(reduced) + [0] * (n - 1 - len(reduced))
-    rows = [row]
-    for _ in range(n - 2):
-        c = row[-1]
-        row = [-c] + [x - c for x in row[:-1]]
-        rows.append(row)
-    return cokernel(BigIntMatrix.from_rows(rows, ncols=n - 1))
+    return cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
 
 
 def branched_cover_order(delta: AlexanderPoly, n: int) -> int | None:
     """Order of the same homology group by the resultant route; None when
     the resultant vanishes (infinite homology)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     r = abs(resultant(delta.poly, cyclotomic_quotient(n)))
     return r if r else None

@@ -14,9 +14,9 @@ from .exactalg import (
     BigIntMatrix,
     IntPoly,
     Rational,
-    circulant_of_poly,
     cokernel,
     determinant,  # unused here; perfbench's binding test reads manifolds.determinant
+    multiplication_matrix,
     resultant,
 )
 from .grouppres import representer_polynomial, takahashi_blocks, takahashi_matrix
@@ -88,15 +88,23 @@ def h1_takahashi(spec: TakahashiSpec) -> AbelianGroup:
     return cokernel(takahashi_matrix(spec.n, spec.pq, spec.rs))
 
 
-def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
-    """H_1 via the n-generator cyclic presentation: the cokernel of the
-    n x n circulant of the representer polynomial, i.e. of multiplication
-    by it on Z[t]/(t^n - 1).  Requires r = 1 and agrees with h1_takahashi
-    on the nose."""
+def _t_n_minus_1(n: int) -> IntPoly:
+    return IntPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+def _representer(spec: TakahashiSpec) -> IntPoly:
+    """The representer polynomial that both r = 1 routes read."""
     if spec.rs.num != 1:
-        raise ValueError("cyclic route needs a coefficient of the form 1/s")
-    rep = representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
-    return cokernel(circulant_of_poly(rep, spec.n))
+        raise ValueError("the cyclic and representer routes need a coefficient of the form 1/s")
+    return representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
+
+
+def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
+    """H_1 via the n-generator cyclic presentation: the cokernel of
+    multiplication by the representer polynomial on Z[t]/(t^n - 1)
+    (exactalg.multiplication_matrix), whose row k is the representer
+    times t^k.  Requires r = 1 and agrees with h1_takahashi on the nose."""
+    return cokernel(multiplication_matrix(_representer(spec), _t_n_minus_1(spec.n)))
 
 
 def branch_knot(q: int, s: int) -> TwoBridge:
@@ -148,14 +156,10 @@ def takahashi_determinant(spec: TakahashiSpec) -> int:
     """
     (a0, b0, c0, d0), (a1, b1, c1, d1) = (m.entries for m in takahashi_blocks(spec.pq, spec.rs))
     f = IntPoly((a0 * d0 - b0 * c0, a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0, a1 * d1 - b1 * c1))
-    return resultant(IntPoly((-1,) + (0,) * (spec.n - 1) + (1,)), f)
+    return resultant(_t_n_minus_1(spec.n), f)
 
 
-def representer_order(spec: TakahashiSpec) -> int:
+def representer_order(spec: TakahashiSpec) -> int | None:
     """|resultant(representer polynomial, t^n - 1)| for the r = 1 family;
-    0 signals infinite homology."""
-    if spec.rs.num != 1:
-        raise ValueError("representer route needs a coefficient of the form 1/s")
-    rep = representer_polynomial(spec.n, spec.pq.num, spec.pq.den, spec.rs.den)
-    tn_minus_1 = IntPoly((-1,) + (0,) * (spec.n - 1) + (1,))
-    return abs(resultant(rep, tn_minus_1))
+    None when it vanishes (infinite homology), as AbelianGroup.order()."""
+    return abs(resultant(_representer(spec), _t_n_minus_1(spec.n))) or None

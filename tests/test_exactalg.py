@@ -8,11 +8,11 @@ from takahashi.exactalg import (
     BigIntMatrix,
     IntPoly,
     Rational,
-    circulant_of_poly,
     cokernel,
     cyclotomic_quotient,
     determinant,
     laurent_mul,
+    multiplication_matrix,
     normalize_up_to_units,
     poly_divmod,
     resultant,
@@ -330,7 +330,11 @@ def test_resultant_multiplicative_up_to_sign():
         assert abs(resultant(_times(f, g), h)) == abs(resultant(f, h) * resultant(g, h))
 
 
-# -------------------------------------------------- cyclotomic / circulant
+# ------------------------------------- cyclotomic / multiplication matrix
+
+def t_n_minus_1(n):
+    return IntPoly((-1,) + (0,) * (n - 1) + (1,)) if n else IntPoly(())
+
 
 def test_cyclotomic_quotient():
     assert cyclotomic_quotient(1).coeffs == (1,)
@@ -340,18 +344,46 @@ def test_cyclotomic_quotient():
         cyclotomic_quotient(0)
 
 
+def test_multiplication_matrix_rows_are_remainders():
+    # row k is f * t^k mod g, for f of any degree (zero included) and g
+    # monic up to sign (constant g included, which gives the 0 x 0 matrix)
+    rng = random.Random(8080)
+    moduli = [t_n_minus_1(n) for n in range(1, 7)] + [cyclotomic_quotient(n) for n in range(1, 7)]
+    moduli += [IntPoly((-1, 2, 0, -1)), IntPoly((1,)), IntPoly((-1,))]
+    for _ in range(30):
+        d = rng.randint(0, 6)
+        moduli.append(IntPoly(tuple(rng.randint(-4, 4) for _ in range(d)) + (rng.choice((1, -1)),)))
+    for g in moduli:
+        d = g.degree
+        polys = [IntPoly(())] + [
+            IntPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, d + 5)))) for _ in range(8)
+        ]
+        for f in polys:
+            m = multiplication_matrix(f, g)
+            assert (m.nrows, m.ncols) == (d, d)
+            for k in range(d):
+                rem = poly_divmod(IntPoly((0,) * k + f.coeffs), g)[1].coeffs
+                assert m.row(k) == rem + (0,) * (d - len(rem)), (f, g, k)
+
+
+def test_multiplication_matrix_rejects_a_non_unit_leading_coefficient():
+    for g in (IntPoly(()), IntPoly((1, 2)), IntPoly((3,)), IntPoly((1, 0, -2))):
+        with pytest.raises(ValueError):
+            multiplication_matrix(IntPoly((1, 1)), g)
+
+
 def test_circulant_trivial_cases():
-    assert circulant_of_poly(IntPoly((1,)), 4).to_lists() == BigIntMatrix.identity(4).to_lists()
-    perm = circulant_of_poly(IntPoly((0, 1)), 3)
+    assert multiplication_matrix(IntPoly((1,)), t_n_minus_1(4)).to_lists() == BigIntMatrix.identity(4).to_lists()
+    perm = multiplication_matrix(IntPoly((0, 1)), t_n_minus_1(3))
     assert abs(determinant(perm)) == 1
-    assert perm.entry(1, 0) == 1 and perm.entry(0, 0) == 0
+    assert perm.entry(0, 1) == 1 and perm.entry(0, 0) == 0
     with pytest.raises(ValueError):
-        circulant_of_poly(IntPoly((1,)), 0)
+        multiplication_matrix(IntPoly((1,)), t_n_minus_1(0))
 
 
 def test_circulant_of_representer_is_15():
     f = IntPoly((2, -1, 2))
-    m = circulant_of_poly(f, 4)
+    m = multiplication_matrix(f, t_n_minus_1(4))
     assert cofactor_det(m.to_lists()) == 15
     assert abs(determinant(m)) == 15
     assert abs(resultant(f, IntPoly((-1, 0, 0, 0, 1)))) == 15
@@ -367,8 +399,8 @@ def test_circulant_resultant_identity_random():
         if f.is_zero:
             continue
         n = rng.randint(1, 6)
-        tn_minus_1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-        lhs = abs(determinant(circulant_of_poly(f, n)))
+        tn_minus_1 = t_n_minus_1(n)
+        lhs = abs(determinant(multiplication_matrix(f, tn_minus_1)))
         rhs = abs(resultant(f, tn_minus_1))
         assert lhs == rhs
         approx = unity_root_abs_product(list(f.coeffs), n)
