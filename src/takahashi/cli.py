@@ -2,9 +2,16 @@
 
 Subcommands: h1, presentation, branch-knot, cover-order, two-bridge-equiv,
 braid-alexander, verify-paper, conjecture-scan.  Every command accepts
---json for a single machine-readable document on stdout.  Exit codes:
-0 success (all claims pass), 1 claim failure, 2 usage error, 3 internal
-self-check failure (a bug, reported on one line, not as a traceback).
+--json for a single machine-readable document on stdout.
+
+Each cmd_* computes its answer once and returns a Result: the exit code,
+the JSON document, and a zero-argument function that builds the text
+lines.  Only main writes to stdout, and only main reads --json: it prints
+json.dumps of the document, or else calls the function and prints its
+lines, so under --json no text (and no str of a large order) is built.
+Exit codes: 0 success (all claims pass), 1 claim failure, 2 usage error,
+3 internal self-check failure (a bug, reported on one line, not as a
+traceback).
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ import contextlib
 import json
 import re
 import sys
+from collections import Counter
+from typing import Callable
 
-from .claims import FAIL, grid_specs, run_claims
+from .claims import FAIL, PASS, UNVERIFIED, grid_specs, run_claims
 from .exactalg import AbelianGroup, IntPoly, Rational
 from .grouppres import cyclic_presentation, takahashi_presentation
 from .knotkit import (
@@ -29,6 +38,8 @@ from .knotkit import (
 from .manifolds import branch_knot, h1_takahashi, normalize_spec
 
 __all__ = ["main", "entry"]
+
+Result = tuple[int, dict, Callable[[], list[str]]]
 
 
 def rational_arg(text: str) -> Rational:
@@ -69,35 +80,29 @@ def word_pretty(w, prefix: str) -> str:
     )
 
 
+def spec_fields(spec) -> dict:
+    return {"n": spec.n, "pq": str(spec.pq), "rs": str(spec.rs)}
+
+
 def group_fields(g: AbelianGroup) -> dict:
+    return {"torsion": list(g.torsion), "freeRank": g.free_rank, "order": g.order()}
+
+
+def group_lines(g: AbelianGroup) -> list[str]:
     order = g.order()
-    return {"torsion": list(g.torsion), "freeRank": g.free_rank, "order": order}
+    return [f"H1 = {g}",
+            "invariant factors: " + (" ".join(str(d) for d in g.torsion) or "-"),
+            f"free rank: {g.free_rank}",
+            f"order: {'infinite' if order is None else order}"]
 
 
-def print_group(g: AbelianGroup) -> None:
-    print(f"H1 = {g}")
-    print("invariant factors:", " ".join(str(d) for d in g.torsion) or "-")
-    print("free rank:", g.free_rank)
-    order = g.order()
-    print("order:", "infinite" if order is None else order)
-
-
-def emit_json(doc: dict) -> None:
-    print(json.dumps(doc))
-
-
-def cmd_h1(args) -> int:
+def cmd_h1(args) -> Result:
     spec = normalize_spec(args.n, args.pq, args.rs)
     g = h1_takahashi(spec)
-    if args.json:
-        emit_json({"n": spec.n, "pq": str(spec.pq), "rs": str(spec.rs), **group_fields(g)})
-    else:
-        print(spec)
-        print_group(g)
-    return 0
+    return 0, {**spec_fields(spec), **group_fields(g)}, lambda: [str(spec), *group_lines(g)]
 
 
-def cmd_presentation(args) -> int:
+def cmd_presentation(args) -> Result:
     spec = normalize_spec(args.n, args.pq, args.rs)
     if args.cyclic:
         if spec.rs.num != 1:
@@ -111,166 +116,103 @@ def cmd_presentation(args) -> int:
         prefix = "x"
     gens = [f"{prefix}{i + 1}" for i in range(pres.generator_count)]
     relators = [word_pretty(r, prefix) for r in pres.relators]
-    if args.json:
-        emit_json(
-            {
-                "n": spec.n,
-                "pq": str(spec.pq),
-                "rs": str(spec.rs),
-                "cyclic": bool(args.cyclic),
-                "generators": gens,
-                "relators": relators,
-            }
-        )
-    else:
-        print(spec)
-        print("generators:", " ".join(gens))
-        for r in relators:
-            print("relator:", r if r else "(empty)")
-    return 0
+    doc = {**spec_fields(spec), "cyclic": bool(args.cyclic),
+           "generators": gens, "relators": relators}
+    return 0, doc, lambda: [str(spec), "generators: " + " ".join(gens),
+                            *(f"relator: {r or '(empty)'}" for r in relators)]
 
 
 _KNOT_NOTES = {(1, 0): "unknot", (3, 1): "trefoil", (3, 2): "trefoil",
                (5, 2): "figure-eight", (5, 3): "figure-eight"}
 
 
-def cmd_branch_knot(args) -> int:
+def cmd_branch_knot(args) -> Result:
     k = branch_knot(args.q, args.s)
     conway = [-2 * args.q, 2 * args.s]
     alpha = abs(4 * args.s * args.q - 1)
     k2q = normalize_two_bridge(alpha, 2 * args.q)
     equivalent = two_bridge_equivalent(k, k2q, allow_mirror=True)
     note = _KNOT_NOTES.get((k.alpha, k.beta))
-    if args.json:
-        emit_json(
-            {
-                "q": args.q,
-                "s": args.s,
-                "alpha": k.alpha,
-                "beta": k.beta,
-                "conway": conway,
-                "beta2q": k2q.beta,
-                "equivalent": equivalent,
-                "note": note,
-            }
-        )
-    else:
-        print("branch knot:", k)
-        print("conway form:", conway)
-        print(f"equivalent to {k2q}:", "yes" if equivalent else "no")
-        if note:
-            print("note:", note)
-    return 0
+    doc = {"q": args.q, "s": args.s, "alpha": k.alpha, "beta": k.beta, "conway": conway,
+           "beta2q": k2q.beta, "equivalent": equivalent, "note": note}
+    return 0, doc, lambda: [f"branch knot: {k}", f"conway form: {conway}",
+                            f"equivalent to {k2q}: {'yes' if equivalent else 'no'}",
+                            *([f"note: {note}"] if note else [])]
 
 
-def cmd_cover_order(args) -> int:
+def cmd_cover_order(args) -> Result:
     k = normalize_two_bridge(args.alpha, args.beta)
     if not k.is_knot:
         raise ValueError(f"alpha must be odd (a knot); {k} is a two-component link")
     g = branched_cover_homology(alexander_two_bridge(k), args.n)
-    if args.json:
-        emit_json({"alpha": k.alpha, "beta": k.beta, "n": args.n, **group_fields(g)})
-    else:
-        print(f"{args.n}-fold cyclic branched cover of {k}")
-        print_group(g)
-    return 0
+    doc = {"alpha": k.alpha, "beta": k.beta, "n": args.n, **group_fields(g)}
+    return 0, doc, lambda: [f"{args.n}-fold cyclic branched cover of {k}", *group_lines(g)]
 
 
-def cmd_two_bridge_equiv(args) -> int:
+def cmd_two_bridge_equiv(args) -> Result:
     k1 = normalize_two_bridge(args.alpha1, args.beta1)
     k2 = normalize_two_bridge(args.alpha2, args.beta2)
     equivalent = two_bridge_equivalent(k1, k2, allow_mirror=args.mirror)
-    if args.json:
-        emit_json(
-            {
-                "first": {"alpha": k1.alpha, "beta": k1.beta},
-                "second": {"alpha": k2.alpha, "beta": k2.beta},
-                "mirror": args.mirror,
-                "equivalent": equivalent,
-            }
-        )
-    else:
-        rel = "equivalent" if equivalent else "not equivalent"
-        scope = "up to mirror" if args.mirror else "strictly"
-        print(f"{k1} and {k2} are {rel} ({scope})")
-    return 0
+    doc = {"first": {"alpha": k1.alpha, "beta": k1.beta},
+           "second": {"alpha": k2.alpha, "beta": k2.beta},
+           "mirror": args.mirror, "equivalent": equivalent}
+    rel = "equivalent" if equivalent else "not equivalent"
+    scope = "up to mirror" if args.mirror else "strictly"
+    return 0, doc, lambda: [f"{k1} and {k2} are {rel} ({scope})"]
 
 
-def cmd_braid_alexander(args) -> int:
+def cmd_braid_alexander(args) -> Result:
     letters = []
     for chunk in args.word:
         letters.extend(int(x) for x in chunk.split())
-    braid = BraidWord3(tuple(letters))
-    delta = alexander_from_braid3(braid)
-    if args.json:
-        emit_json({"word": letters, "coefficients": list(delta.poly.coeffs),
-                   "pretty": poly_pretty(delta.poly)})
-    else:
-        print("Delta =", poly_pretty(delta.poly))
-        print("coefficients (lowest degree first):", list(delta.poly.coeffs))
-    return 0
+    delta = alexander_from_braid3(BraidWord3(tuple(letters))).poly
+    pretty = poly_pretty(delta)
+    doc = {"word": letters, "coefficients": list(delta.coeffs), "pretty": pretty}
+    return 0, doc, lambda: [f"Delta = {pretty}",
+                            f"coefficients (lowest degree first): {list(delta.coeffs)}"]
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> Result:
     reports = run_claims()
-    if args.json:
-        emit_json(
-            {
-                "claims": [
-                    {
-                        "claimId": r.claim_id,
-                        "description": r.description,
-                        "expected": r.expected,
-                        "computed": r.computed,
-                        "status": r.status,
-                    }
-                    for r in reports
-                ],
-                "failures": sum(1 for r in reports if r.status == FAIL),
-            }
-        )
-    else:
+    tally = Counter(r.status for r in reports)
+    doc = {"claims": [{"claimId": r.claim_id, "description": r.description,
+                       "expected": r.expected, "computed": r.computed, "status": r.status}
+                      for r in reports],
+           "failures": tally[FAIL]}
+
+    def text():
         wid = max(len(r.claim_id) for r in reports)
         wstat = max(len(r.status) for r in reports)
-        for r in reports:
-            print(f"{r.claim_id:<{wid}}  {r.status:<{wstat}}  "
-                  f"expected: {r.expected} | computed: {r.computed}")
-        failures = sum(1 for r in reports if r.status == FAIL)
-        print(f"{sum(1 for r in reports if r.status == 'pass')} passed, "
-              f"{failures} failed, "
-              f"{sum(1 for r in reports if r.status not in ('pass', 'fail'))} unverified by design")
-    return 1 if any(r.status == FAIL for r in reports) else 0
+        return [*(f"{r.claim_id:<{wid}}  {r.status:<{wstat}}  "
+                  f"expected: {r.expected} | computed: {r.computed}" for r in reports),
+                f"{tally[PASS]} passed, {tally[FAIL]} failed, "
+                f"{tally[UNVERIFIED]} unverified by design"]
+
+    return (1 if tally[FAIL] else 0), doc, text
 
 
-def cmd_conjecture_scan(args) -> int:
+def cmd_conjecture_scan(args) -> Result:
     if args.grid_max < 1:
         raise ValueError("--grid-max must be at least 1")
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2: the scan starts at n = 2")
-    rows = []
-    for spec in grid_specs(args.grid_max, range(2, args.n_max + 1)):
-        g = h1_takahashi(spec)
-        rows.append(
-            {
-                "n": spec.n,
-                "pq": str(spec.pq),
-                "rs": str(spec.rs),
-                **group_fields(g),
-                "pOneROne": spec.pq.num == 1 and spec.rs.num == 1,
-            }
-        )
-    if args.json:
-        emit_json({"nMax": args.n_max, "gridMax": args.grid_max, "rows": rows})
-    else:
-        print(f"{'n':>2}  {'p/q':>6}  {'r/s':>6}  {'order':>10}  {'torsion':<16} p=1=r")
+    rows = [{**spec_fields(spec), **group_fields(h1_takahashi(spec)),
+             "pOneROne": spec.pq.num == 1 and spec.rs.num == 1}
+            for spec in grid_specs(args.grid_max, range(2, args.n_max + 1))]
+
+    def text():
+        lines = [f"{'n':>2}  {'p/q':>6}  {'r/s':>6}  {'order':>10}  {'torsion':<16} p=1=r"]
         for row in rows:
             order = "infinite" if row["order"] is None else str(row["order"])
             torsion = " ".join(str(d) for d in row["torsion"]) or "-"
             if row["freeRank"]:
                 torsion += f" +Z^{row['freeRank']}"
             mark = "*" if row["pOneROne"] else ""
-            print(f"{row['n']:>2}  {row['pq']:>6}  {row['rs']:>6}  {order:>10}  {torsion:<16} {mark}")
-    return 0
+            lines.append(f"{row['n']:>2}  {row['pq']:>6}  {row['rs']:>6}  {order:>10}  "
+                         f"{torsion:<16} {mark}")
+        return lines
+
+    return 0, {"nMax": args.n_max, "gridMax": args.grid_max, "rows": rows}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     with _unlimited_int_digits():
         args = build_parser().parse_args(_coefficients_as_positionals(argv))
         try:
-            return args.func(args)
+            code, doc, text = args.func(args)
+            print(json.dumps(doc) if args.json else "\n".join(text()))
+            return code
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -229,16 +229,19 @@ def cyclic_presentation_rewritten(n: int, p: int, q: int, s: int) -> Presentatio
     return Presentation(n, tuple(word(r) for r in _rewritten_relators(n, p, q, s)))
 
 
-def _core_atoms(letters: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Unit-exponent atoms of the freely and cyclically reduced word."""
-    a = [(g, 1 if e > 0 else -1) for g, e in _reduce(letters) for _ in range(abs(e))]
-    while len(a) >= 2 and a[0][0] == a[-1][0] and a[0][1] == -a[-1][1]:
-        a = a[1:-1]
+def _cyclic_syllables(letters: Iterable[tuple[int, int]]) -> _Letters:
+    """Syllables of the freely and cyclically reduced word: the first and
+    last syllables are merged, or cancel, until they sit on different
+    generators, so the syllables are unique up to rotation."""
+    a = _reduce(letters)
+    while len(a) >= 2 and a[0][0] == a[-1][0]:
+        e = a[0][1] + a[-1][1]
+        a = ((a[0][0], e),) + a[1:-1] if e else a[1:-1]
     return a
 
 
 def _cyclically_equal(x: Iterable[tuple[int, int]], y: Iterable[tuple[int, int]]) -> bool:
-    a, b = _core_atoms(x), _core_atoms(y)
+    a, b = _cyclic_syllables(x), _cyclic_syllables(y)
     if len(a) != len(b):
         return False
     if not a:

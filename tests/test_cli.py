@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,32 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+# ---------------------------------------------------------------- golden table
+
+# Exit code, stdout and stderr, byte for byte, of every subcommand in text
+# and in --json, and of the usage errors that exit 2; a deliberate change
+# of output edits its row in cli_golden.json.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[" ".join(row["argv"]) for row in GOLDEN])
+def test_golden_output(capsys, row):
+    assert run(capsys, *row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
+
+
+@pytest.mark.parametrize("argv", [["h1", "3", "3", "-3", "--json"],
+                                  ["cover-order", "5", "3", "3", "--json"]])
+def test_json_builds_no_text(capsys, monkeypatch, argv):
+    # int -> str is quadratic: an order of 400,000 digits takes seconds to
+    # render, so under --json no group is rendered as text at all
+    def no_text(self):
+        raise AssertionError("a group was rendered as text under --json")
+
+    monkeypatch.setattr(AbelianGroup, "__str__", no_text)
+    row = next(row for row in GOLDEN if row["argv"] == argv)
+    assert run(capsys, *argv) == (0, row["stdout"], "")
 
 
 # -------------------------------------------------------------------- parsing
@@ -33,12 +60,6 @@ def test_poly_pretty():
 
 
 # ------------------------------------------------------------------------- h1
-
-def test_h1_remark1(capsys):
-    rc, out, _ = run(capsys, "h1", "3", "3", "-3")
-    assert rc == 0
-    assert "order: 1296" in out
-
 
 def test_h1_json_roundtrip(capsys):
     rc, out, _ = run(capsys, "h1", "4", "3/2", "1", "--json")
@@ -231,12 +252,6 @@ def test_branch_knot_unknot(capsys):
 
 # ------------------------------------------------------------------ cover-order
 
-def test_cover_order_16(capsys):
-    rc, out, _ = run(capsys, "cover-order", "5", "3", "3")
-    assert rc == 0
-    assert "order: 16" in out
-
-
 def test_cover_order_trefoil_double(capsys):
     rc, out, _ = run(capsys, "cover-order", "3", "1", "2", "--json")
     assert rc == 0
@@ -264,12 +279,6 @@ def test_cover_order_rejects_links(capsys):
 
 # ------------------------------------------------------------- two-bridge-equiv
 
-def test_equiv_inverse_classes(capsys):
-    rc, out, _ = run(capsys, "two-bridge-equiv", "5", "3", "5", "2")
-    assert rc == 0
-    assert "are equivalent" in out
-
-
 def test_equiv_strict_flag(capsys):
     rc, out, _ = run(capsys, "two-bridge-equiv", "7", "2", "7", "3", "--no-mirror", "--json")
     assert rc == 0
@@ -279,12 +288,6 @@ def test_equiv_strict_flag(capsys):
 
 
 # ------------------------------------------------------------- braid-alexander
-
-def test_braid_alexander_trefoil(capsys):
-    rc, out, _ = run(capsys, "braid-alexander", "1 1 1 2")
-    assert rc == 0
-    assert "t^2 - t + 1" in out
-
 
 def test_braid_alexander_figure_eight_json(capsys):
     rc, out, _ = run(capsys, "braid-alexander", "1 -2 1 -2", "--json")

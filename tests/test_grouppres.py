@@ -23,6 +23,8 @@ from takahashi.grouppres import (
 )
 from takahashi.exactalg import AbelianGroup, smith_normal_form
 
+from oracles import cyclically_equal_atoms
+
 
 # -------------------------------------------------------------------- words
 
@@ -67,6 +69,37 @@ def test_cyclic_equality_rejects_non_conjugate_words():
     # equal exponent sums: [x, y] and [x^-1, y] are not conjugate
     assert not words_cyclically_equal(Word(((x, 1), (y, 1), (x, -1), (y, -1))),
                                       Word(((x, -1), (y, 1), (x, 1), (y, -1))))
+
+
+
+def test_cyclic_equality_matches_the_atom_oracle():
+    # syllable rotation against unit-atom rotation, over seeded rotations
+    # (one letter split across the cut), conjugates, near misses (a rotation
+    # with one exponent bumped) and unrelated words
+    rng = random.Random(23)
+
+    def random_letters(length):
+        return [(rng.randint(0, 2), rng.randint(-3, 3)) for _ in range(length)]
+
+    for _ in range(4000):
+        x = random_letters(rng.randint(1, 7))
+        kind = rng.randrange(4)
+        k = rng.randrange(len(x))
+        g, e = x[k]
+        cut = rng.randint(0, e) if e >= 0 else rng.randint(e, 0)
+        y = [(g, e - cut)] + x[k + 1:] + x[:k] + [(g, cut)]
+        if kind == 1:
+            u = random_letters(rng.randint(1, 3))
+            y = u + x + [(g, -e) for g, e in reversed(u)]
+        elif kind == 2:
+            i = rng.randrange(len(y))
+            y[i] = (y[i][0], y[i][1] + rng.choice((-1, 1)))
+        elif kind == 3:
+            y = random_letters(rng.randint(0, 7))
+        expected = cyclically_equal_atoms(x, y)
+        assert grouppres._cyclically_equal(x, y) == expected, (x, y)
+        if kind < 3:  # a bumped exponent changes an exponent sum
+            assert expected == (kind < 2), (x, y)
 
 
 # ------------------------------------------------------------ abelianization
