@@ -14,7 +14,6 @@ from .exactalg import (
     BigIntMatrix,
     IntPoly,
     Rational,
-    SnfResult,
     cokernel,
     cyclotomic_quotient,
     determinant,

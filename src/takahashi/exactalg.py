@@ -4,10 +4,10 @@ and invariant-factor decompositions of finitely generated abelian groups.
 
 Relation matrices have 2n rows for M_n, a few hundred in practice, and
 their entries can grow exponentially during elimination, so determinants
-use Bareiss' exact-division scheme and the Smith reduction pivots on gcds.
-The Smith reduction writes only the entries an elimination step can
-change, which makes the banded surgery matrix cheap to reduce; it does
-not bound entry growth, which can still blow up on general coefficients.
+use Bareiss' exact-division scheme.  The Smith reduction pivots column by
+column with extended-gcd row and column operations and writes only the
+entries an elimination step can change; on the banded surgery matrix the
+fill stays in the band and the wrap-around rows and columns.
 Resultants build no matrix: they run the subresultant remainder sequence.
 Everything is an immutable value and every operation is a pure function;
 Python ints give arbitrary precision for free.
@@ -37,7 +37,6 @@ __all__ = [
     "laurent_add",
     "laurent_sub",
     "laurent_mul",
-    "laurent_neg",
 ]
 
 
@@ -197,92 +196,94 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "trivial"
 
 
-def _smallest_nonzero(a: list[list[int]], k: int, nrows: int, ncols: int) -> tuple[int, int] | None:
-    best = None
-    where = None
-    for i in range(k, nrows):
-        for j in range(k, ncols):
-            v = a[i][j]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                where = (i, j)
-                if best == 1:
-                    return where
-    return where
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def smith_normal_form(m: BigIntMatrix) -> SnfResult:
-    """Invariant factors of an integer matrix by gcd-pivot reduction.
+    """Invariant factors of an integer matrix by column-order gcd pivots
+    (Kannan-Bachem 1979; Cohen, A Course in Computational Algebraic
+    Number Theory, Sec. 2.4).
 
     Row and column operations are unimodular throughout, so the product of
     the nonzero factors equals the absolute value of the product of the
     elementary divisors of the input.
 
-    Step k pivots on the smallest nonzero |entry| of the block a[k:][k:],
-    first in row-major order, and clears column k below it and row k right
-    of it, restarting on any nonzero remainder.  Before step k, rows and
-    columns 0..k-1 are zero off the diagonal, so the loop skips what cannot
-    change and the matrix after every step is the one the full row and
-    column operations would give:
+    Step k pivots in column k.  A row below k with entry v there is folded
+    into row k: a multiple of row k is subtracted when the pivot p divides
+    v, and otherwise both rows are replaced by [[s, t], [-v/g, p/g]] times
+    them, where s*p + t*v = g = gcd(p, v).  Row k is then cleared by the
+    same operations on columns.  A column operation that refills column k
+    repeats the step; each one that does replaces the pivot by a proper
+    divisor, so the step ends.  Rows are swapped only for a zero pivot,
+    and columns only when column k is zero from row k down.  Before step
+    k, rows and columns 0..k-1 are zero off the diagonal, so the loop
+    skips what cannot change:
 
-    - a row operation visits only the pivot row's nonzero columns from k
+    - a subtraction visits only the pivot row's nonzero columns from k
       on, since both rows are zero left of k and a zero in the pivot row
       leaves the target entry as it is;
     - once column k is clear, subtracting q times it from column j
-      changes row k alone, so the column phase writes the remainder into
-      a[k][j] (a column swap still moves every row);
+      changes row k alone, so the column phase writes 0 into a[k][j];
     - the gcd/lcm passes that order the diagonal into a divisibility
       chain skip entries equal to 1, which divide everything.
+
+    Entries still grow in the wrap-around rows of the surgery matrix:
+    reducing M_300(3/2, 1/5), whose order has 999 bits, the largest
+    intermediate entry reaches about 3 * 10^5 bits.
     """
     a = m.to_lists()
     nrows, ncols = m.nrows, m.ncols
     steps = min(nrows, ncols)
-    k = 0
-    while k < steps:
-        piv = _smallest_nonzero(a, k, nrows, ncols)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != k:
-            a[k], a[i0] = a[i0], a[k]
-        if j0 != k:
-            for row in a:
-                row[k], row[j0] = row[j0], row[k]
+    for k in range(steps):
+        if not a[k][k]:
+            nonzero = next(((i, j) for j in range(k, ncols) for i in range(k, nrows) if a[i][j]), None)
+            if nonzero is None:
+                break
+            i, j = nonzero
+            for row in a[k:]:
+                row[k], row[j] = row[j], row[k]
+            a[k], a[i] = a[i], a[k]
+        pk = a[k]
         while True:
-            pk = a[k]
-            if pk[k] < 0:
-                pk = a[k] = [-x for x in pk]
-            p = pk[k]
             support = [j for j in range(k, ncols) if pk[j]]
-            restart = False
-            for i in range(k + 1, nrows):
-                row = a[i]
+            for row in a[k + 1 :]:
                 v = row[k]
-                if v:
-                    q, r = divmod(v, p)
+                if not v:
+                    continue
+                q, r = divmod(v, pk[k])
+                if r:
+                    g, s, t = _xgcd(pk[k], v)
+                    u, w = -v // g, pk[k] // g
+                    pk[k:], row[k:] = ([s * x + t * y for x, y in zip(pk[k:], row[k:])],
+                                       [u * x + w * y for x, y in zip(pk[k:], row[k:])])
+                    support = [j for j in range(k, ncols) if pk[j]]
+                else:
                     for j in support:
                         row[j] -= q * pk[j]
-                    if r:
-                        # remainder becomes the new, strictly smaller pivot
-                        a[k], a[i] = row, pk
-                        restart = True
-                        break
-            if restart:
-                continue
-            # column k is now zero off the diagonal, so subtracting q times
-            # it from column j changes row k alone
+            # column k is now zero below row k, so subtracting q times it
+            # from column j changes row k alone
             for j in support[1:]:
-                q, r = divmod(pk[j], p)
-                pk[j] = r
-                if r:
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    restart = True
+                if pk[j] % pk[k] == 0:
+                    pk[j] = 0
+                    continue
+                g, s, t = _xgcd(pk[k], pk[j])
+                w = pk[k] // g
+                pk[k], pk[j] = g, 0
+                below = [row for row in a[k + 1 :] if row[j]]
+                for row in below:
+                    row[k], row[j] = t * row[j], w * row[j]
+                if below:
                     break
-            if restart:
-                continue
-            break
-        k += 1
+            else:
+                break
 
     # pairwise gcd/lcm passes enforce the divisibility chain; diag(x, y) is
     # unimodularly equivalent to diag(gcd, lcm), and diag(1, y) is already a
@@ -549,12 +550,8 @@ def laurent_add(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return _strip(out)
 
 
-def laurent_neg(a: Mapping[int, int]) -> dict[int, int]:
-    return {e: -c for e, c in a.items()}
-
-
 def laurent_sub(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    return laurent_add(a, laurent_neg(b))
+    return laurent_add(a, {e: -c for e, c in b.items()})
 
 
 def laurent_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

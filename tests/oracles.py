@@ -4,9 +4,9 @@ These deliberately avoid the library's own elimination code: determinants
 by brute-force cofactor expansion or by Gaussian elimination over the
 rationals, resultants as Sylvester determinants, ranks by Gaussian
 elimination over F_p, root-of-unity products in floating point, and
-cyclic word equality on unit-exponent atoms.  The one exception is
-gcd_pivot_snf, the library's Smith reduction written without the work it
-skips.
+cyclic word equality on unit-exponent atoms.  gcd_pivot_snf is a Smith
+reduction too, but with a different pivot rule from the library's: the
+smallest entry of the whole trailing block, restarting on every remainder.
 """
 
 from __future__ import annotations
@@ -133,12 +133,15 @@ def _smallest_nonzero(a: list[list[int]], k: int, nrows: int, ncols: int) -> tup
 
 
 def gcd_pivot_snf(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
-    """Invariant factors by the plain gcd-pivot Smith reduction: every row
-    operation rewrites the whole row, every column operation runs over
-    every row, and the gcd/lcm passes run over the whole diagonal.
+    """Invariant factors by a plain smallest-pivot Smith reduction: each
+    step pivots on the smallest nonzero |entry| of the trailing block and
+    restarts on every remainder; every row operation rewrites the whole
+    row, every column operation runs over every row, and the gcd/lcm
+    passes run over the whole diagonal.
 
-    exactalg.smith_normal_form makes the same pivot choices but skips the
-    entries a step cannot change, so the two must agree on every input.
+    exactalg.smith_normal_form pivots column by column with extended-gcd
+    operations instead; invariant factors are unique, so the two must
+    agree on every input.
     """
     a = [list(r) for r in rows]
     nrows = len(a)

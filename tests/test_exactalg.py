@@ -161,6 +161,48 @@ def test_snf_matches_gcd_pivot_oracle_random(kind):
         assert snf.invariant_factors == gcd_pivot_snf(rows, nc), rows
 
 
+def _transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def _random_row_operation(rng, rows):
+    """Add a multiple of one row to another, swap two rows or negate one."""
+    if len(rows) < 2:
+        rows[:] = [[-x for x in row] for row in rows]
+        return
+    i, j = rng.sample(range(len(rows)), 2)
+    op = rng.choice(("add", "swap", "negate"))
+    if op == "add":
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    elif op == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        rows[i] = [-x for x in rows[i]]
+
+
+@pytest.mark.parametrize("kind", ["dense", "banded", "unit", "deficient", "nonsquare"])
+def test_snf_invariant_under_transpose_and_unimodular_operations(kind):
+    # the reduction pivots column by column and treats rows and columns
+    # differently; the invariant factors depend on neither
+    rng = random.Random(f"snf-invariance-{kind}")
+    for _ in range(200):
+        rows, nc = _random_snf_input(rng, kind)
+        nr = len(rows)
+        facs = smith_normal_form(BigIntMatrix.from_rows(rows, ncols=nc)).invariant_factors
+        transposed = BigIntMatrix.from_rows(_transpose(rows, nc), ncols=nr)
+        assert smith_normal_form(transposed).invariant_factors == facs, rows
+        mixed = [list(r) for r in rows]
+        for _ in range(20):
+            if rng.random() < 0.5:
+                _random_row_operation(rng, mixed)
+            else:
+                columns = _transpose(mixed, nc)
+                _random_row_operation(rng, columns)
+                mixed = _transpose(columns, nr)
+        assert smith_normal_form(BigIntMatrix.from_rows(mixed, ncols=nc)).invariant_factors == facs, rows
+
+
 def test_snf_matches_sympy_random():
     normalforms = pytest.importorskip("sympy.matrices.normalforms")
     from sympy import ZZ, Matrix

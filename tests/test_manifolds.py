@@ -311,8 +311,7 @@ def test_p4_claim_computes_each_knot_polynomial_once(monkeypatch):
 
 def test_routes_agree_on_random_r_one_specs():
     # past every fixed grid: |p|, |q|, |s| <= 8, n <= 20, at least a third with
-    # p = 1 so that Prop. 4's branched cover joins in; larger n meets the Smith
-    # form's entry-growth cliff on the surgery route (M_33(7, 1/-6))
+    # p = 1 so that Prop. 4's branched cover joins in
     rng = random.Random(31337)
     checked = covers = 0
     while checked < 300:
@@ -333,6 +332,25 @@ def test_routes_agree_on_random_r_one_specs():
             covers += 1
         checked += 1
     assert covers >= 100
+
+
+@pytest.mark.parametrize("n, pq, rs", [(130, (3, 2), (1, 5)), (150, (3, 2), (1, 5)),
+                                       (33, (7, 1), (1, -6))],
+                         ids=["M_130(3/2, 1/5)", "M_150(3/2, 1/5)", "M_33(7, 1/-6)"])
+def test_surgery_route_matches_the_cyclic_route_at_large_n(n, pq, rs):
+    # specs on which a smallest-entry pivot rule took seconds to minutes in
+    # the Smith form; the cyclic route reduces a different, n x n matrix
+    spec = normalize_spec(n, Rational(*pq), Rational(*rs))
+    assert h1_takahashi(spec) == h1_cyclic_route(spec)
+
+
+@pytest.mark.parametrize("n, pq, rs", [(31, (3, 2), (-3, 1)), (40, (-2, 1), (2, 3))],
+                         ids=["M_31(3/2, -3)", "M_40(-2, 2/3)"])
+def test_surgery_order_is_the_determinant_at_large_n(n, pq, rs):
+    spec = normalize_spec(n, Rational(*pq), Rational(*rs))
+    group = h1_takahashi(spec)
+    assert group.is_finite
+    assert group.order() == abs(takahashi_determinant(spec))
 
 
 def test_symmetry_examples():
