@@ -76,6 +76,19 @@ def test_h1_json_roundtrip(capsys):
     assert h1_takahashi(spec) == group
 
 
+def test_h1_trivial_case(capsys):
+    rc, out, _ = run(capsys, "h1", "1", "1/2", "1/5")
+    assert rc == 0
+    assert "H1 = trivial" in out
+    assert "order: 1" in out
+
+
+def test_h1_infinite_order(capsys):
+    rc, out, _ = run(capsys, "h1", "2", "0", "0")
+    assert rc == 0
+    assert "order: infinite" in out
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["h1", "3", "3/x", "1"])
@@ -182,6 +195,12 @@ def test_presentation_smallest_case(capsys):
     assert len(doc["relators"]) == 2
 
 
+def test_presentation_cyclic_fibonacci(capsys):
+    rc, out, _ = run(capsys, "presentation", "3", "1", "-1", "--cyclic")
+    assert rc == 0
+    assert "z1 z2^-1 z1 z3^-1 z1" in out
+
+
 def test_presentation_negative_coefficients(capsys):
     rc, out, _ = run(capsys, "presentation", "2", "-3/2", "1", "--cyclic", "--json")
     assert rc == 0
@@ -206,6 +225,14 @@ def test_presentation_drops_zero_exponents(capsys):
 
 # ------------------------------------------------------------------ branch-knot
 
+def test_branch_knot_figure_eight(capsys):
+    rc, out, _ = run(capsys, "branch-knot", "1", "-1")
+    assert rc == 0
+    assert "b(5,3)" in out
+    assert "figure-eight" in out
+    assert "[-2, -2]" in out
+
+
 def test_branch_knot_trefoil_json(capsys):
     rc, out, _ = run(capsys, "branch-knot", "1", "1", "--json")
     assert rc == 0
@@ -214,6 +241,13 @@ def test_branch_knot_trefoil_json(capsys):
     assert doc["conway"] == [-2, 2]
     assert doc["equivalent"] is True
     assert doc["note"] == "trefoil"
+
+
+def test_branch_knot_unknot(capsys):
+    rc, out, _ = run(capsys, "branch-knot", "2", "0")
+    assert rc == 0
+    assert "b(1,0)" in out
+    assert "unknot" in out
 
 
 # ------------------------------------------------------------------ cover-order
@@ -229,6 +263,12 @@ def test_cover_order_trefoil_double(capsys):
     knot = TwoBridge(doc["alpha"], doc["beta"])
     group = AbelianGroup(tuple(doc["torsion"]), doc["freeRank"])
     assert branched_cover_homology(alexander_two_bridge(knot), doc["n"]) == group
+
+
+def test_cover_order_infinite(capsys):
+    rc, out, _ = run(capsys, "cover-order", "3", "1", "6")
+    assert rc == 0
+    assert "order: infinite" in out
 
 
 def test_cover_order_rejects_links(capsys):
@@ -263,7 +303,23 @@ def test_braid_alexander_unknot(capsys):
     assert json.loads(out)["coefficients"] == [1]
 
 
+def test_braid_alexander_rejects_non_knot(capsys):
+    rc, _, err = run(capsys, "braid-alexander", "1")
+    assert rc == 2
+    assert "cycle type (2, 1)" in err
+    rc, _, err = run(capsys, "braid-alexander", "1 1")
+    assert rc == 2
+    assert "cycle type (1, 1, 1)" in err
+
+
 # ---------------------------------------------------------------- verify-paper
+
+def test_verify_paper_passes(capsys):
+    rc, out, _ = run(capsys, "verify-paper")
+    assert rc == 0
+    assert "0 failed" in out
+    assert "unverified" in out
+
 
 def test_verify_paper_json_contents(verify_paper_json):
     rc, out = verify_paper_json
@@ -376,6 +432,12 @@ def test_conjecture_scan_json(capsys):
     for r in marked:
         assert cli.rational_arg(r["pq"]).num == 1
         assert cli.rational_arg(r["rs"]).num == 1
+
+
+def test_conjecture_scan_text(capsys):
+    rc, out, _ = run(capsys, "conjecture-scan", "--grid-max", "1", "--n-max", "2")
+    assert rc == 0
+    assert "p=1=r" in out
 
 
 @pytest.mark.parametrize("option, value", [("--n-max", "1"), ("--n-max", "0"),
