@@ -129,8 +129,7 @@ _KNOT_NOTES = {(1, 0): "unknot", (3, 1): "trefoil", (3, 2): "trefoil",
 def cmd_branch_knot(args) -> Result:
     k = branch_knot(args.q, args.s)
     conway = [-2 * args.q, 2 * args.s]
-    alpha = abs(4 * args.s * args.q - 1)
-    k2q = normalize_two_bridge(alpha, 2 * args.q)
+    k2q = normalize_two_bridge(k.alpha, 2 * args.q)
     equivalent = two_bridge_equivalent(k, k2q, allow_mirror=True)
     note = _KNOT_NOTES.get((k.alpha, k.beta))
     doc = {"q": args.q, "s": args.s, "alpha": k.alpha, "beta": k.beta, "conway": conway,

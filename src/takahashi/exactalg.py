@@ -3,12 +3,14 @@ fraction-free determinants, integer and Laurent polynomials, resultants,
 and invariant-factor decompositions of finitely generated abelian groups.
 
 Relation matrices have 2n rows for M_n, a few hundred in practice, and
-their entries can grow exponentially during elimination, so determinants
-use Bareiss' exact-division scheme.  The Smith reduction pivots column by
-column with extended-gcd row and column operations and writes only the
-entries an elimination step can change; on the banded surgery matrix the
-fill stays in the band and the wrap-around rows and columns.
-Resultants build no matrix: they run the subresultant remainder sequence.
+their entries can grow during elimination.  The Smith reduction pivots
+column by column with extended-gcd row and column operations and writes
+only the entries an elimination step can change; on the banded surgery
+matrix the fill stays in the band and the wrap-around rows and columns.
+Resultants build no matrix: they run the subresultant remainder sequence,
+which is also how the surgery determinant is computed
+(manifolds.takahashi_determinant).  `determinant`, Bareiss' exact-division
+elimination of a whole matrix, has no caller in the library.
 Everything is an immutable value and every operation is a pure function;
 Python ints give arbitrary precision for free.
 """

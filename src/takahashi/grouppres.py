@@ -229,44 +229,19 @@ def cyclic_presentation_rewritten(n: int, p: int, q: int, s: int) -> Presentatio
     return Presentation(n, tuple(word(r) for r in _rewritten_relators(n, p, q, s)))
 
 
-def _cyclic_syllables(letters: Iterable[tuple[int, int]]) -> _Letters:
-    """Syllables of the freely and cyclically reduced word: the first and
-    last syllables are merged, or cancel, until they sit on different
-    generators, so the syllables are unique up to rotation."""
-    a = _reduce(letters)
-    while len(a) >= 2 and a[0][0] == a[-1][0]:
-        e = a[0][1] + a[-1][1]
-        a = ((a[0][0], e),) + a[1:-1] if e else a[1:-1]
-    return a
-
-
-def _cyclically_equal(x: Iterable[tuple[int, int]], y: Iterable[tuple[int, int]]) -> bool:
-    a, b = _cyclic_syllables(x), _cyclic_syllables(y)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    return any(b == a[k:] + a[:k] for k in range(len(a)))
-
-
-def words_cyclically_equal(w1: Word, w2: Word) -> bool:
-    """True iff the freely reduced words agree up to cyclic permutation,
-    i.e. represent conjugate elements with cyclically reduced cores."""
-    return _cyclically_equal(w1.letters, w2.letters)
-
-
 def relator_identity_check(n: int, p: int, q: int, s: int) -> bool:
     """Check that each rewritten relator equals the original one.
 
     For s > 0 the two relators are freely equal; for s < 0 the rewritten
-    relator is the original conjugated by z(i)^q, so the comparison is
-    made on freely reduced words up to cyclic permutation (which is what
-    "the presentations coincide" means for relators, and which freely
-    equal relators pass too).
+    relator i is the original conjugated by z(i)^q.  So each pair is
+    compared as freely reduced words, the original first conjugated by
+    z(i)^c with c = q for s < 0 and c = 0 for s > 0.
     """
+    c = q if s < 0 else 0
     return all(
-        _cyclically_equal(a, b)
-        for a, b in zip(_cyclic_relators(n, p, q, s), _rewritten_relators(n, p, q, s))
+        _reduce(new) == _reduce(((i, c),) + old + ((i, -c),))
+        for i, (old, new) in enumerate(
+            zip(_cyclic_relators(n, p, q, s), _rewritten_relators(n, p, q, s)))
     )
 
 

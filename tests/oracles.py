@@ -3,10 +3,10 @@
 These deliberately avoid the library's own elimination code: determinants
 by brute-force cofactor expansion or by Gaussian elimination over the
 rationals, resultants as Sylvester determinants, ranks by Gaussian
-elimination over F_p, root-of-unity products in floating point, and
-cyclic word equality on unit-exponent atoms.  gcd_pivot_snf is a Smith
-reduction too, but with a different pivot rule from the library's: the
-smallest entry of the whole trailing block, restarting on every remainder.
+elimination over F_p, and root-of-unity products in floating point.
+gcd_pivot_snf is a Smith reduction too, but with a different pivot rule
+from the library's: the smallest entry of the whole trailing block,
+restarting on every remainder.
 """
 
 from __future__ import annotations
@@ -202,24 +202,3 @@ def gcd_pivot_snf(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
             diag[i], diag[j] = g, (x // g) * y
     return tuple(diag)
 
-
-def cyclically_equal_atoms(x, y) -> bool:
-    """Whether two words of (generator, exponent) letters agree up to cyclic
-    permutation once freely and cyclically reduced.  Each letter g^e is
-    expanded into |e| unit atoms, so a rotation may split a letter."""
-
-    def core(letters):
-        atoms: list[tuple[int, int]] = []
-        for g, e in letters:
-            for _ in range(abs(e)):
-                atom = (g, 1 if e > 0 else -1)
-                if atoms and atoms[-1] == (g, -atom[1]):
-                    atoms.pop()
-                else:
-                    atoms.append(atom)
-        while len(atoms) >= 2 and atoms[0] == (atoms[-1][0], -atoms[-1][1]):
-            atoms = atoms[1:-1]
-        return atoms
-
-    a, b = core(x), core(y)
-    return len(a) == len(b) and (not a or any(b == a[k:] + a[:k] for k in range(len(a))))
