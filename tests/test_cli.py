@@ -76,6 +76,19 @@ def test_h1_json_roundtrip(capsys):
     assert h1_takahashi(spec) == group
 
 
+def test_h1_trivial_case(capsys):
+    rc, out, _ = run(capsys, "h1", "1", "1/2", "1/5")
+    assert rc == 0
+    assert "H1 = trivial" in out
+    assert "order: 1" in out
+
+
+def test_h1_infinite_order(capsys):
+    rc, out, _ = run(capsys, "h1", "2", "0", "0")
+    assert rc == 0
+    assert "order: infinite" in out
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["h1", "3", "3/x", "1"])
@@ -230,6 +243,13 @@ def test_branch_knot_trefoil_json(capsys):
     assert doc["note"] == "trefoil"
 
 
+def test_branch_knot_unknot(capsys):
+    rc, out, _ = run(capsys, "branch-knot", "2", "0")
+    assert rc == 0
+    assert "b(1,0)" in out
+    assert "unknot" in out
+
+
 # ------------------------------------------------------------------ cover-order
 
 def test_cover_order_trefoil_double(capsys):
@@ -243,6 +263,12 @@ def test_cover_order_trefoil_double(capsys):
     knot = TwoBridge(doc["alpha"], doc["beta"])
     group = AbelianGroup(tuple(doc["torsion"]), doc["freeRank"])
     assert branched_cover_homology(alexander_two_bridge(knot), doc["n"]) == group
+
+
+def test_cover_order_infinite(capsys):
+    rc, out, _ = run(capsys, "cover-order", "3", "1", "6")
+    assert rc == 0
+    assert "order: infinite" in out
 
 
 def test_cover_order_rejects_links(capsys):
