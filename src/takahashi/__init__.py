@@ -16,7 +16,6 @@ from .exactalg import (
     Rational,
     cokernel,
     cyclotomic_quotient,
-    determinant,
     multiplication_matrix,
     normalize_up_to_units,
     resultant,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -80,52 +79,41 @@ class Rational:
 
 @dataclass(frozen=True)
 class BigIntMatrix:
-    """Integer matrix stored row-major; rows or columns may number zero."""
+    """Integer matrix stored as a tuple of its rows, the layout the relation
+    builders produce and the reductions consume; rows or columns may number
+    zero, and ncols is kept so that a matrix with no rows has a width."""
 
     nrows: int
     ncols: int
-    entries: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(self.entries)
-        if len(entries) != self.nrows * self.ncols:
-            raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", entries)
+        rows = tuple(tuple(r) for r in self.rows)
+        if len(rows) != self.nrows or any(len(r) != self.ncols for r in rows):
+            raise ValueError("rows do not match dimensions")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "BigIntMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols does not match row length")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        return cls(len(rows), ncols, tuple(chain.from_iterable(rows)))
+        rows = tuple(tuple(r) for r in rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        return cls(len(rows), ncols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "BigIntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag: Iterable[int]) -> "BigIntMatrix":
         d = list(diag)
         n = len(d)
-        return cls(n, n, tuple(d[i] if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.ncols : (i + 1) * self.ncols]
+        return cls(n, n, tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
+        return [list(r) for r in self.rows]
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def test_takahashi_blocks_rebuild_the_matrix():
                         j = (i + offset) % n
                         for u in range(2):
                             for v in range(2):
-                                rows[2 * i + u][2 * j + v] += block.entry(u, v)
+                                rows[2 * i + u][2 * j + v] += block.rows[u][v]
                 assert rows == takahashi_matrix(n, a, b).to_lists()
 
 
