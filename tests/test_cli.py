@@ -76,6 +76,19 @@ def test_h1_json_roundtrip(capsys):
     assert h1_takahashi(spec) == group
 
 
+def test_h1_trivial_case(capsys):
+    rc, out, _ = run(capsys, "h1", "1", "1/2", "1/5")
+    assert rc == 0
+    assert "H1 = trivial" in out
+    assert "order: 1" in out
+
+
+def test_h1_infinite_order(capsys):
+    rc, out, _ = run(capsys, "h1", "2", "0", "0")
+    assert rc == 0
+    assert "order: infinite" in out
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["h1", "3", "3/x", "1"])
