@@ -19,6 +19,7 @@ from .exactalg import (
     multiplication_matrix,
     normalize_up_to_units,
     resultant,
+    ring_quotient,
     smith_normal_form,
 )
 from .grouppres import (

@@ -33,6 +33,7 @@ __all__ = [
     "resultant",
     "cyclotomic_quotient",
     "multiplication_matrix",
+    "ring_quotient",
     "normalize_up_to_units",
     "poly_divmod",
     "laurent_add",
@@ -480,6 +481,10 @@ def cyclotomic_quotient(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
+def _monic_up_to_sign(f: IntPoly) -> bool:
+    return not f.is_zero and f.coeffs[-1] in (1, -1)
+
+
 def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
     """Matrix of multiplication by f on Z[t]/(g), for g monic up to sign.
 
@@ -488,8 +493,11 @@ def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
     is the remainder of f and each next row t times the last: a shift whose
     top coefficient c, when nonzero, adds -lc(g) * c * g_i at each nonzero
     lower term g_i of g, since t^(deg g) = -lc(g) * (g - lc(g) t^(deg g)).
+    The cyclic and branched-cover routes build it through ring_quotient,
+    which reduces whichever of their two polynomials gives the smaller
+    matrix.
     """
-    if g.is_zero or g.coeffs[-1] not in (1, -1):
+    if not _monic_up_to_sign(g):
         raise ValueError("the modulus must be monic up to sign")
     d = g.degree
     wrap = [(i, -g.coeffs[-1] * c) for i, c in enumerate(g.coeffs[:-1]) if c]
@@ -504,6 +512,23 @@ def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
             for i, w in wrap:
                 row[i] += top * w
     return BigIntMatrix.from_rows(rows, ncols=d)
+
+
+def ring_quotient(f: IntPoly, g: IntPoly) -> AbelianGroup:
+    """Additive group of Z[t]/(f, g), for g monic up to sign.
+
+    Z[t]/(f, g) is the cokernel of multiplication by f on Z[t]/(g), and
+    also of multiplication by g on Z[t]/(f) whenever f is monic up to sign
+    too, so the smaller ring is reduced: a deg f x deg f matrix when f is
+    nonzero, monic up to sign and of lower degree than g, and otherwise
+    the deg g x deg g matrix of f on Z[t]/(g).  A constant modulus gives
+    the 0 x 0 matrix, so a unit f or g gives the trivial group.
+    """
+    if not _monic_up_to_sign(g):
+        raise ValueError("the modulus must be monic up to sign")
+    if _monic_up_to_sign(f) and f.degree < g.degree:
+        f, g = g, f
+    return cokernel(multiplication_matrix(f, g))
 
 
 def normalize_up_to_units(f: "IntPoly | Mapping[int, int]") -> IntPoly:

@@ -13,15 +13,14 @@ from .exactalg import (
     AbelianGroup,
     IntPoly,
     Rational,
-    cokernel,
     cyclotomic_quotient,
     laurent_add,
     laurent_mul,
     laurent_sub,
-    multiplication_matrix,
     normalize_up_to_units,
     poly_divmod,
     resultant,
+    ring_quotient,
 )
 from .grouppres import Presentation, Word, word
 
@@ -326,13 +325,16 @@ def alexander_from_braid3(b: BraidWord3) -> AlexanderPoly:
 
 def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     """H_1 of the n-fold cyclic cover of S^3 branched over a knot with
-    Alexander polynomial delta: the cokernel of multiplication by delta on
-    Z[t]/(1 + t + ... + t^(n-1)) (exactalg.multiplication_matrix, which the
-    cyclic route also uses), a 0 x 0 matrix at n = 1.  The order, when
-    finite, independently equals |resultant(delta, 1 + ... + t^(n-1))|
-    (see branched_cover_order).
+    Alexander polynomial delta: Z[t]/(delta, 1 + t + ... + t^(n-1))
+    (exactalg.ring_quotient, which the cyclic route also uses).  When delta
+    is monic up to sign and of degree below n - 1, this is the cokernel of
+    multiplication by 1 + ... + t^(n-1) on Z[t]/(delta), a deg delta x
+    deg delta matrix; otherwise it is the (n - 1) x (n - 1) matrix of
+    multiplication by delta on Z[t]/(1 + ... + t^(n-1)), 0 x 0 at n = 1.
+    The order, when finite, independently equals
+    |resultant(delta, 1 + ... + t^(n-1))| (see branched_cover_order).
     """
-    return cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
+    return ring_quotient(delta.poly, cyclotomic_quotient(n))
 
 
 def branched_cover_order(delta: AlexanderPoly, n: int) -> int | None:

@@ -16,8 +16,8 @@ from .exactalg import (
     Rational,
     cokernel,
     determinant,  # unused here; perfbench's binding test reads manifolds.determinant
-    multiplication_matrix,
     resultant,
+    ring_quotient,
 )
 from .grouppres import representer_polynomial, takahashi_blocks, takahashi_matrix
 from .knotkit import (
@@ -100,11 +100,15 @@ def _representer(spec: TakahashiSpec) -> IntPoly:
 
 
 def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
-    """H_1 via the n-generator cyclic presentation: the cokernel of
-    multiplication by the representer polynomial on Z[t]/(t^n - 1)
-    (exactalg.multiplication_matrix), whose row k is the representer
-    times t^k.  Requires r = 1 and agrees with h1_takahashi on the nose."""
-    return cokernel(multiplication_matrix(_representer(spec), _t_n_minus_1(spec.n)))
+    """H_1 via the n-generator cyclic presentation: Z[t]/(f, t^n - 1) for
+    the representer polynomial f (exactalg.ring_quotient).  When f is monic
+    up to sign and of degree below n, this is the cokernel of
+    multiplication by t^n - 1 on Z[t]/(f), a deg f x deg f matrix; for
+    n >= 3, f = qs t^2 + (p - 2qs) t + qs, so this holds whenever qs = +-1,
+    as on the unit family.  Otherwise it is the n x n circulant of
+    multiplication by f on Z[t]/(t^n - 1), whose row k is f t^k.
+    Requires r = 1 and agrees with h1_takahashi on the nose."""
+    return ring_quotient(_representer(spec), _t_n_minus_1(spec.n))
 
 
 def branch_knot(q: int, s: int) -> TwoBridge:

@@ -16,6 +16,7 @@ from takahashi.exactalg import (
     normalize_up_to_units,
     poly_divmod,
     resultant,
+    ring_quotient,
     smith_normal_form,
 )
 
@@ -420,6 +421,29 @@ def test_multiplication_matrix_rejects_a_non_unit_leading_coefficient():
     for g in (IntPoly(()), IntPoly((1, 2)), IntPoly((3,)), IntPoly((1, 0, -2))):
         with pytest.raises(ValueError):
             multiplication_matrix(IntPoly((1, 1)), g)
+
+
+def test_ring_quotient_either_side():
+    # Z[t]/(f, g) from f on Z[t]/(g) and, when f is monic up to sign too,
+    # from g on Z[t]/(f); zero, unit, equal-degree and higher-degree f
+    # included
+    rng = random.Random(1717)
+
+    def rand_poly(lead):
+        return IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))) + (lead,))
+
+    for _ in range(300):
+        g = rand_poly(rng.choice((1, -1)))
+        f = rand_poly(rng.choice((1, -1, 2, -3, 0)))
+        group = ring_quotient(f, g)
+        assert group == cokernel(multiplication_matrix(f, g)), (f, g)
+        if not f.is_zero and f.coeffs[-1] in (1, -1):
+            assert group == cokernel(multiplication_matrix(g, f)), (f, g)
+    assert ring_quotient(IntPoly((-1,)), t_n_minus_1(5)) == AbelianGroup()
+    assert ring_quotient(IntPoly(()), t_n_minus_1(3)) == AbelianGroup((), 3)
+    for g in (IntPoly(()), IntPoly((1, 2)), IntPoly((1, 0, -2))):
+        with pytest.raises(ValueError):
+            ring_quotient(IntPoly((1, 1)), g)
 
 
 def test_circulant_trivial_cases():

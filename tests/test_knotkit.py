@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from takahashi.exactalg import AbelianGroup, IntPoly, laurent_mul, laurent_sub
-from takahashi.grouppres import Word, free_reduce, word
+from takahashi.claims import grid_specs
+from takahashi.exactalg import (
+    AbelianGroup,
+    IntPoly,
+    cokernel,
+    cyclotomic_quotient,
+    laurent_mul,
+    laurent_sub,
+    multiplication_matrix,
+)
+from takahashi.grouppres import Word, free_reduce, representer_polynomial, word
 from takahashi.knotkit import (
     AlexanderPoly,
     BraidWord3,
@@ -22,6 +31,7 @@ from takahashi.knotkit import (
     two_bridge_equivalent,
     two_bridge_presentation,
 )
+from takahashi.manifolds import h1_cyclic_route
 
 from oracles import cover_matrix_by_division, nontrivial_unity_root_abs_product
 
@@ -363,24 +373,14 @@ def test_cover_order_routes_agree():
                 assert abs(approx - res_order) <= 1e-6 * max(1.0, res_order)
 
 
-def test_cover_matrix_matches_row_by_division(monkeypatch):
-    # the route builds each row as t times the last; the oracle divides
-    # delta * t^k afresh for every row
-    from takahashi import knotkit
-
-    matrices = []
-    real = knotkit.cokernel
-
-    def recording(m):
-        matrices.append(m.to_lists())
-        return real(m)
-
-    monkeypatch.setattr(knotkit, "cokernel", recording)
+def test_cover_matrix_matches_row_by_division():
+    # multiplication_matrix builds each row as t times the last; the
+    # oracle divides delta * t^k afresh for every row
     for k in (TwoBridge(3, 1), TwoBridge(5, 2), TwoBridge(7, 3)):
         delta = alexander_two_bridge(k)
         for n in range(2, 61):
-            branched_cover_homology(delta, n)
-            assert matrices.pop() == cover_matrix_by_division(list(delta.poly.coeffs), n)
+            m = multiplication_matrix(delta.poly, cyclotomic_quotient(n))
+            assert m.to_lists() == cover_matrix_by_division(list(delta.poly.coeffs), n)
 
 
 def test_cover_order_trefoil_large_n():
@@ -388,5 +388,29 @@ def test_cover_order_trefoil_large_n():
     # infinite at 6 | n
     delta = alexander_two_bridge(TwoBridge(3, 1))
     by_residue = {1: 1, 2: 3, 3: 4, 4: 3, 5: 1, 0: None}
+    groups = {1: AbelianGroup(), 2: AbelianGroup((3,)), 3: AbelianGroup((2, 2)),
+              4: AbelianGroup((3,)), 5: AbelianGroup(), 0: AbelianGroup((), 2)}
     for n in range(2000, 2006):
         assert branched_cover_order(delta, n) == by_residue[n % 6]
+        assert branched_cover_homology(delta, n) == groups[n % 6]
+
+
+def test_small_side_routes_match_n_by_n_matrices():
+    # the routes reduce the degree-2 side when it is monic up to sign; the
+    # n x n matrices of the degree-n side give the same groups
+    for spec in grid_specs(3, range(1, 13)):
+        if spec.rs.num != 1:
+            continue
+        n = spec.n
+        rep = representer_polynomial(n, spec.pq.num, spec.pq.den, spec.rs.den)
+        tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+        assert h1_cyclic_route(spec) == cokernel(multiplication_matrix(rep, tn)), spec
+    trefoil, figure_eight = TwoBridge(3, 1), TwoBridge(5, 3)
+    for k in all_two_bridge_knots(13):
+        ns = range(1, 41)
+        if k in (trefoil, figure_eight):
+            ns = [*range(1, 61), *range(63, 401, 7)]
+        delta = alexander_two_bridge(k)
+        for n in ns:
+            m = multiplication_matrix(delta.poly, cyclotomic_quotient(n))
+            assert branched_cover_homology(delta, n) == cokernel(m), (k, n)

@@ -5,10 +5,19 @@ import pytest
 
 from takahashi import claims, grouppres
 from takahashi.claims import grid_specs
-from takahashi.exactalg import AbelianGroup, Rational, cokernel, determinant
+from takahashi.exactalg import (
+    AbelianGroup,
+    IntPoly,
+    Rational,
+    cokernel,
+    cyclotomic_quotient,
+    determinant,
+    multiplication_matrix,
+)
 from takahashi.grouppres import (
     abelianize,
     cyclic_presentation,
+    representer_polynomial,
     takahashi_matrix,
     takahashi_presentation,
 )
@@ -31,6 +40,10 @@ from takahashi.manifolds import (
 )
 
 from oracles import gcd_pivot_snf, rank_mod_p
+
+
+def t_n_minus_1(n):
+    return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
 # -------------------------------------------------------------- normalization
@@ -127,8 +140,10 @@ def test_cyclic_route_matches_abelianized_cyclic_presentation():
 
 
 def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
-    # the surgery, circulant and cover matrices of M_n(+-1, +-1), as each
-    # route hands them to the Smith form, against the plain reduction
+    # the matrices each route of M_n(+-1, +-1) hands to the Smith form, and
+    # the n-square circulant and (n - 1)-square cover matrices built
+    # explicitly, since the routes reduce the degree-2 side from n = 3 on;
+    # all against the plain reduction
     from takahashi import exactalg
 
     real = exactalg.smith_normal_form
@@ -149,8 +164,12 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
                 h1_cyclic_route(spec)
                 delta = alexander_two_bridge(branch_knot(spec.pq.den, spec.rs.den))
                 branched_cover_homology(delta, n)
-    # three Smith forms per spec; the 1-fold cover (S^3) reduces a 0 x 0 matrix
-    assert len(checked) == 40 * 4 * 3
+                rep = representer_polynomial(n, spec.pq.num, spec.pq.den, spec.rs.den)
+                cokernel(multiplication_matrix(rep, t_n_minus_1(n)))
+                cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
+    # five Smith forms per spec, three routes and two explicit matrices;
+    # the 1-fold cover (S^3) reduces a 0 x 0 matrix either way
+    assert len(checked) == 40 * 4 * 5
 
 
 def test_homology_routes_build_no_words(monkeypatch):
@@ -235,6 +254,18 @@ def test_takahashi_determinant_fibonacci_family_large_n():
     n = 10_000
     spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
     assert abs(takahashi_determinant(spec)) == lucas(2 * n) - 2 == representer_order(spec)
+
+
+def test_small_side_routes_fibonacci_family_large_n():
+    # H_1(M_n(1, -1)) is the homology of the n-fold cover branched over the
+    # figure-eight; both routes reduce a 2 x 2 matrix where the n x n one
+    # takes seconds
+    n = 10_000
+    spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
+    delta = alexander_two_bridge(TwoBridge(5, 3))
+    group = branched_cover_homology(delta, n)
+    assert group == h1_cyclic_route(spec)
+    assert group.order() == lucas(2 * n) - 2
 
 
 # --------------------------------------------------------------- branch knots
