@@ -2,23 +2,28 @@
 fraction-free determinants, integer and Laurent polynomials, resultants,
 and invariant-factor decompositions of finitely generated abelian groups.
 
-Relation matrices have 2n rows for M_n, a few hundred in practice, and
-their entries can grow during elimination.  The Smith reduction pivots
-column by column with extended-gcd row and column operations and writes
-only the entries an elimination step can change; on the banded surgery
-matrix the fill stays in the band and the wrap-around rows and columns.
-Resultants build no matrix: they run the subresultant remainder sequence,
-which is also how the surgery determinant is computed
+Relation matrices have 2n rows for M_n, tens of thousands on the unit
+family, and their entries can grow during elimination.  A matrix stores
+only its nonzero entries, one {column: value} dict per row: the surgery
+matrix has at most three per row.  The Smith reduction pivots column by
+column with extended-gcd row and column operations, and a column index
+lets each step visit only the rows and entries it can change; on the
+banded surgery matrix the fill stays in the band and the wrap-around rows
+and columns.  Resultants build no matrix: they run the subresultant
+remainder sequence, which is also how the surgery determinant is computed
 (manifolds.takahashi_determinant).  `determinant`, Bareiss' exact-division
 elimination of a whole matrix, has no caller in the library.
-Everything is an immutable value and every operation is a pure function;
-Python ints give arbitrary precision for free.
+Every operation is a pure function, and the values are frozen dataclasses.
+A matrix's rows are read-only by contract and the reductions copy them
+before they write; since the rows are dicts, a BigIntMatrix is not
+hashable.  Python ints give arbitrary precision for free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -80,28 +85,43 @@ class Rational:
 
 @dataclass(frozen=True)
 class BigIntMatrix:
-    """Integer matrix stored as a tuple of its rows, the layout the relation
-    builders produce and the reductions consume; rows or columns may number
-    zero, and ncols is kept so that a matrix with no rows has a width."""
+    """Integer matrix stored as its nonzero entries: entries[i] is the
+    {column: value} dict of row i.  The relation matrices the homology
+    routes reduce are sparse (the 2n x 2n surgery matrix has at most three
+    nonzeros per row), so the builders hand over their rows in this form.
+    The rows are read-only by contract: the Smith form copies them before
+    it writes.  Rows or columns may number zero; ncols is kept so that a
+    matrix with no rows has a width.  The shape is checked once, here: there are
+    nrows rows, every column lies in 0..ncols-1 and no stored value is
+    zero.  from_rows takes dense rows of equal length and to_lists gives
+    them back.
+    """
 
     nrows: int
     ncols: int
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[dict[int, int], ...]
 
     def __post_init__(self):
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        rows = tuple(tuple(r) for r in self.rows)
-        if len(rows) != self.nrows or any(len(r) != self.ncols for r in rows):
+        entries, ncols = tuple(self.entries), self.ncols
+        if len(entries) != self.nrows:
             raise ValueError("rows do not match dimensions")
-        object.__setattr__(self, "rows", rows)
+        for r in entries:
+            for j, v in r.items():
+                if not v or not 0 <= j < ncols:
+                    raise ValueError("entries must be nonzero and lie in columns 0..ncols-1")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "BigIntMatrix":
-        rows = tuple(tuple(r) for r in rows)
+        rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("rows do not match dimensions")
+        nonzero = itemgetter(1)  # of a (column, value) pair
+        return cls(len(rows), ncols, tuple(dict(filter(nonzero, enumerate(r))) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "BigIntMatrix":
@@ -110,11 +130,10 @@ class BigIntMatrix:
     @classmethod
     def diagonal(cls, diag: Iterable[int]) -> "BigIntMatrix":
         d = list(diag)
-        n = len(d)
-        return cls(n, n, tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(len(d), len(d), tuple({i: v} if v else {} for i, v in enumerate(d)))
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+        return [[r.get(j, 0) for j in range(self.ncols)] for r in self.entries]
 
 
 @dataclass(frozen=True)
@@ -208,86 +227,198 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
     elementary divisors of the input.
 
     Step k pivots in column k.  A row below k with entry v there is folded
-    into row k: a multiple of row k is subtracted when the pivot p divides
-    v, and otherwise both rows are replaced by [[s, t], [-v/g, p/g]] times
-    them, where s*p + t*v = g = gcd(p, v).  Row k is then cleared by the
-    same operations on columns.  A column operation that refills column k
-    repeats the step; each one that does replaces the pivot by a proper
-    divisor, so the step ends.  Rows are swapped only for a zero pivot,
-    and columns only when column k is zero from row k down.  Before step
-    k, rows and columns 0..k-1 are zero off the diagonal, so the loop
-    skips what cannot change:
+    into row k, in ascending order: a multiple of row k is subtracted when
+    the pivot p divides v, and otherwise both rows are replaced by
+    [[s, t], [-v/g, p/g]] times them, where s*p + t*v = g = gcd(p, v).
+    Row k is then cleared by the same operations on columns, in ascending
+    order.  A column operation that refills column k repeats the step;
+    each one that does replaces the pivot by a proper divisor, so the step
+    ends.  Rows are swapped only for a zero pivot, and columns only when
+    column k is zero from row k down.
 
-    - a subtraction visits only the pivot row's nonzero columns from k
-      on, since both rows are zero left of k and a zero in the pivot row
-      leaves the target entry as it is;
+    The rows are copied as {column: value} dicts, and a column index,
+    below[j], holds the rows past the pivot row with a nonzero in column
+    j; every write that makes an entry nonzero or zero updates it.  Before
+    step k, rows and columns 0..k-1 are zero off the diagonal, so a step
+    visits only the rows listed under column k and the pivot row's
+    nonzeros, never a zero:
+
+    - a subtraction visits the pivot row's nonzeros alone, since a zero
+      there leaves the target entry as it is, and a 2x2 operation the
+      nonzeros of its two rows;
     - once column k is clear, subtracting q times it from column j
-      changes row k alone, so the column phase writes 0 into a[k][j];
-    - the gcd/lcm passes that order the diagonal into a divisibility
-      chain skip entries equal to 1, which divide everything.
+      changes row k alone, so the column phase drops the entry of row k,
+      and an extended-gcd column operation touches only the rows listed
+      under column j;
+    - a zero pivot looks for the first nonempty column from k on, past
+      the columns an earlier swap left zero.
 
-    Entries still grow in the wrap-around rows of the surgery matrix:
-    reducing M_300(3/2, 1/5), whose order has 999 bits, the largest
-    intermediate entry reaches about 3 * 10^5 bits.
+    On the surgery matrix, whose rows hold three nonzeros, the fill stays
+    in the band and the wrap-around rows and columns, so a step costs
+    O(1) entry operations.  Entries still grow there: reducing
+    M_300(3/2, 1/5), whose order has 999 bits, the largest intermediate
+    entry reaches about 3 * 10^5 bits.  _chain then orders the pivots
+    into a divisibility chain.
     """
-    a = m.to_lists()
     nrows, ncols = m.nrows, m.ncols
-    steps = min(nrows, ncols)
-    for k in range(steps):
-        if not a[k][k]:
-            nonzero = next(((i, j) for j in range(k, ncols) for i in range(k, nrows) if a[i][j]), None)
-            if nonzero is None:
-                break
-            i, j = nonzero
-            for row in a[k:]:
-                row[k], row[j] = row[j], row[k]
-            a[k], a[i] = a[i], a[k]
-        pk = a[k]
-        while True:
-            support = [j for j in range(k, ncols) if pk[j]]
-            for row in a[k + 1 :]:
-                v = row[k]
-                if not v:
-                    continue
-                q, r = divmod(v, pk[k])
-                if r:
-                    g, s, t = _xgcd(pk[k], v)
-                    u, w = -v // g, pk[k] // g
-                    pk[k:], row[k:] = ([s * x + t * y for x, y in zip(pk[k:], row[k:])],
-                                       [u * x + w * y for x, y in zip(pk[k:], row[k:])])
-                    support = [j for j in range(k, ncols) if pk[j]]
-                else:
-                    for j in support:
-                        row[j] -= q * pk[j]
-            # column k is now zero below row k, so subtracting q times it
-            # from column j changes row k alone
-            for j in support[1:]:
-                if pk[j] % pk[k] == 0:
-                    pk[j] = 0
-                    continue
-                g, s, t = _xgcd(pk[k], pk[j])
-                w = pk[k] // g
-                pk[k], pk[j] = g, 0
-                below = [row for row in a[k + 1 :] if row[j]]
-                for row in below:
-                    row[k], row[j] = t * row[j], w * row[j]
-                if below:
+    a = [r.copy() for r in m.entries]
+    below: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            below[j].add(i)
+    pivots = []
+    # columns k+1..j left zero by a column swap at step k stay zero, so
+    # the search for a nonzero column may start past them
+    first = 0
+    for k in range(min(nrows, ncols)):
+        if k not in a[k]:
+            for j in range(max(k, first), ncols):
+                if below[j]:
                     break
             else:
                 break
+            i = min(below[j])
+            if j != k:
+                first = j + 1
+                for row in (a[t] for t in below[k] | below[j]):
+                    x, y = row.pop(k, 0), row.pop(j, 0)
+                    if x:
+                        row[j] = x
+                    if y:
+                        row[k] = y
+                below[k], below[j] = below[j], below[k]
+            if i != k:
+                for t in (i, k):
+                    for j in a[t]:
+                        below[j].discard(t)
+                a[k], a[i] = a[i], a[k]
+                for j in a[i]:
+                    below[j].add(i)
+        pk = a[k]
+        for j in pk:
+            below[j].discard(k)
+        # p is the pivot and pk holds the rest of row k
+        p = pk.pop(k)
+        while True:
+            # a fold writes column k of no other row, so below[k] holds
+            # still while it is read
+            rows = below[k]
+            for i in sorted(rows) if len(rows) > 1 else rows:
+                row = a[i]
+                v = row.pop(k)
+                if v % p:
+                    g, s, t = _xgcd(p, v)
+                    u, w = -v // g, p // g
+                    # where row k is zero, row i is only scaled by w != 0
+                    new_pk = {j: t * y for j, y in row.items() if j not in pk}
+                    for j in new_pk:
+                        row[j] *= w
+                    for j, x in pk.items():
+                        y = row.get(j, 0)
+                        if z := s * x + t * y:
+                            new_pk[j] = z
+                        if z := u * x + w * y:
+                            if not y:
+                                below[j].add(i)
+                            row[j] = z
+                        elif y:
+                            del row[j]
+                            below[j].discard(i)
+                    pk, p = new_pk, g
+                else:
+                    q = v // p
+                    for j, x in pk.items():
+                        y = row.get(j)
+                        if y is None:
+                            row[j] = -q * x
+                            below[j].add(i)
+                        elif y := y - q * x:
+                            row[j] = y
+                        else:
+                            del row[j]
+                            below[j].discard(i)
+            below[k].clear()
+            # column k is now zero below row k, so subtracting q times it
+            # from column j changes row k alone
+            for j in sorted(pk) if len(pk) > 1 else tuple(pk):
+                x = pk.pop(j)
+                if x % p == 0:
+                    continue
+                g, s, t = _xgcd(p, x)
+                w = p // g
+                p = g
+                if below[j]:
+                    for i in below[j]:
+                        row = a[i]
+                        y = row[j]
+                        row[k], row[j] = t * y, w * y
+                    below[k].update(below[j])
+                    break
+            else:
+                break
+        pivots.append(abs(p))
+    return SnfResult(_chain(pivots) + (0,) * (min(nrows, ncols) - len(pivots)))
 
-    # pairwise gcd/lcm passes enforce the divisibility chain; diag(x, y) is
-    # unimodularly equivalent to diag(gcd, lcm), and diag(1, y) is already a
-    # chain, so the passes run over the entries other than 1
-    rest = [d for d in (abs(a[i][i]) for i in range(steps)) if d != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            x, y = rest[i], rest[j]
-            g = math.gcd(x, y)
-            if g == 0:
+
+def _chain(pivots: list[int]) -> tuple[int, ...]:
+    """Invariant factors of diag(pivots), for positive pivots.
+
+    diag(x, y) is unimodularly equivalent to diag(gcd, lcm), and 1 divides
+    everything, so the entries other than 1 are what need ordering.  Two
+    of them take one gcd.  More are factored over a coprime base
+    (Bach-Driscoll-Shallit 1993, factor refinement): pairwise coprime
+    b > 1 of which every entry is a product of powers.  The i-th factor is
+    then the product over b of b to the i-th smallest of its exponents in
+    the entries, which costs O(entries x base) where pairwise gcd/lcm
+    passes cost O(entries^2): M_2000(inf, 3) = (Z/3)^2000 has one base
+    element.
+    """
+    rest = [d for d in pivots if d != 1]
+    if len(rest) == 2:
+        x, y = rest
+        g = math.gcd(x, y)
+        rest = [g, x // g * y]
+    elif len(rest) > 2:
+        factors = [1] * len(rest)
+        for b in _coprime_base(rest):
+            exponents = []
+            for d in rest:
+                e = 0
+                while d % b == 0:
+                    d //= b
+                    e += 1
+                exponents.append(e)
+            exponents.sort()
+            for i, e in enumerate(exponents):
+                if e:
+                    factors[i] *= b**e
+        rest = factors
+    return (1,) * (len(pivots) - len(rest)) + tuple(rest)
+
+
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 such that each of the given values
+    > 1 is a product of their powers.  A value that shares g = gcd > 1
+    with a base element b replaces b by b/g, g and value/g, each of which
+    is processed again; the product of what is left falls at every
+    replacement, so the refinement ends."""
+    base: list[int] = []
+    for x in set(values):
+        pending = [x]
+        while pending:
+            y = pending.pop()
+            if y == 1:
                 continue
-            rest[i], rest[j] = g, (x // g) * y
-    return SnfResult((1,) * (steps - len(rest)) + tuple(rest))
+            for i, b in enumerate(base):
+                g = math.gcd(y, b)
+                if g > 1:
+                    base[i] = base[-1]
+                    base.pop()
+                    pending += (b // g, g, y // g)
+                    break
+            else:
+                base.append(y)
+    return base
 
 
 def cokernel(m: BigIntMatrix) -> AbelianGroup:

@@ -100,13 +100,19 @@ class Presentation:
 
 
 def _exponent_sums(relators: Iterable[_Letters], ncols: int) -> BigIntMatrix:
+    """Sparse relation matrix: each row maps a generator to its nonzero
+    exponent sum, so no dense row is built."""
     rows = []
     for letters in relators:
-        row = [0] * ncols
-        for g, e in letters:
-            row[g] += e
+        row = dict(letters)
+        if len(row) < len(letters):  # a generator repeats: sum its exponents
+            row = {}
+            for g, e in letters:
+                row[g] = row.get(g, 0) + e
+        if 0 in row.values():
+            row = {g: e for g, e in row.items() if e}
         rows.append(row)
-    return BigIntMatrix.from_rows(rows, ncols=ncols)
+    return BigIntMatrix(len(rows), ncols, tuple(rows))
 
 
 def abelianize(p: Presentation) -> BigIntMatrix:
@@ -123,13 +129,12 @@ def _takahashi_relators(n: int, pq: Rational, rs: Rational) -> Iterator[_Letters
     p, q = pq.num, pq.den
     r, s = rs.num, rs.den
     m = 2 * n
-
-    def x(k: int) -> int:  # 1-based paper subscript -> 0-based index mod 2n
-        return (k - 1) % m
-
-    for i in range(1, n + 1):
-        yield (x(2 * i - 1), q), (x(2 * i), -r), (x(2 * i + 1), -q)
-        yield (x(2 * i), s), (x(2 * i + 1), p), (x(2 * i + 2), -s)
+    # paper subscripts 2i-1, 2i, 2i+1, 2i+2 (1-based, i = 1..n) are the
+    # 0-based indices a, a+1, a+2, a+3 mod 2n, with a = 2i - 2
+    for a in range(0, m, 2):
+        b, c, d = a + 1, (a + 2) % m, (a + 3) % m
+        yield (a, q), (b, -r), (c, -q)
+        yield (b, s), (c, p), (d, -s)
 
 
 def takahashi_presentation(n: int, pq: Rational, rs: Rational) -> Presentation:

@@ -158,7 +158,8 @@ def takahashi_determinant(spec: TakahashiSpec) -> int:
     the sign at odd n.  The subresultant sequence costs O(n) against a
     divisor of degree 2, where Bareiss on the full matrix costs O(n^3).
     """
-    ((a0, b0), (c0, d0)), ((a1, b1), (c1, d1)) = (m.rows for m in takahashi_blocks(spec.pq, spec.rs))
+    (a0, b0), (c0, d0), (a1, b1), (c1, d1) = (
+        (row.get(0, 0), row.get(1, 0)) for m in takahashi_blocks(spec.pq, spec.rs) for row in m.entries)
     f = IntPoly((a0 * d0 - b0 * c0, a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0, a1 * d1 - b1 * c1))
     return resultant(_t_n_minus_1(spec.n), f)
 

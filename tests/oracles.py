@@ -6,7 +6,8 @@ rationals, resultants as Sylvester determinants, ranks by Gaussian
 elimination over F_p, and root-of-unity products in floating point.
 gcd_pivot_snf is a Smith reduction too, but with a different pivot rule
 from the library's: the smallest entry of the whole trailing block,
-restarting on every remainder.
+restarting on every remainder; it orders the diagonal by the pairwise
+gcd/lcm passes of pairwise_chain.
 """
 
 from __future__ import annotations
@@ -190,9 +191,15 @@ def gcd_pivot_snf(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
             break
         k += 1
 
-    diag = [abs(a[i][i]) for i in range(steps)]
-    # pairwise gcd/lcm passes enforce the divisibility chain; diag(x, y) is
-    # unimodularly equivalent to diag(gcd, lcm)
+    return pairwise_chain([abs(a[i][i]) for i in range(steps)])
+
+
+def pairwise_chain(diag: list[int]) -> tuple[int, ...]:
+    """Invariant factors of diag(diag), for nonnegative entries, by pairwise
+    gcd/lcm passes over every pair of entries: diag(x, y) is unimodularly
+    equivalent to diag(gcd, lcm).  The library orders the diagonal by
+    factor refinement over a coprime base instead."""
+    diag = list(diag)
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             x, y = diag[i], diag[j]

@@ -24,6 +24,7 @@ from oracles import (
     cofactor_det,
     fraction_det,
     gcd_pivot_snf,
+    pairwise_chain,
     rank_mod_p,
     sylvester_resultant,
     unity_root_abs_product,
@@ -55,17 +56,25 @@ def test_rational_str():
 
 def test_matrix_shape_validation():
     for bad in (
-        lambda: BigIntMatrix(2, 2, ((1, 2), (3,))),  # a short row
-        lambda: BigIntMatrix(2, 2, ((1, 2),)),  # fewer rows than nrows
+        lambda: BigIntMatrix.from_rows([[1, 2], [3]], ncols=2),  # a short row
+        lambda: BigIntMatrix(2, 2, ({0: 1, 1: 2},)),  # fewer rows than nrows
         lambda: BigIntMatrix(-1, 0, ()),
         lambda: BigIntMatrix.from_rows([[1, 2], [3]]),
         lambda: BigIntMatrix.from_rows([[1, 2]], ncols=3),
+        lambda: BigIntMatrix(1, 2, ({2: 1},)),  # a column >= ncols
+        lambda: BigIntMatrix(1, 2, ({-1: 1},)),  # a negative column
+        lambda: BigIntMatrix(1, 2, ({0: 0},)),  # a stored zero
     ):
         with pytest.raises(ValueError):
             bad()
     m = BigIntMatrix.from_rows([[], []])
-    assert (m.nrows, m.ncols, m.rows) == (2, 0, ((), ()))
+    assert (m.nrows, m.ncols, m.to_lists()) == (2, 0, [[], []])
     assert cokernel(m).is_trivial
+    m = BigIntMatrix.from_rows([[0, 5, 0], [-1, 0, 2]])
+    assert m.entries == ({1: 5}, {0: -1, 2: 2})
+    assert m.to_lists() == [[0, 5, 0], [-1, 0, 2]]
+    smith_normal_form(m)
+    assert m.entries == ({1: 5}, {0: -1, 2: 2})  # the reduction works on copies
 
 
 def test_empty_matrix_allowed():
@@ -87,7 +96,8 @@ def test_snf_diagonal_2_3():
 
 
 def test_snf_zero_matrix():
-    snf = smith_normal_form(BigIntMatrix(2, 3, ((0,) * 3,) * 2))
+    snf = smith_normal_form(BigIntMatrix(2, 3, ({}, {})))
+    assert smith_normal_form(BigIntMatrix.from_rows([[0] * 3] * 2)) == snf
     assert snf.invariant_factors == (0, 0)
     assert snf.rank == 0
 
@@ -129,8 +139,34 @@ def test_snf_chain_fixup_with_ones_and_zeros():
         ([0, 1], (1, 0)),
         ([1, 1, 1], (1, 1, 1)),
         ([4, 0, 0, 1, 2, 1], (1, 1, 2, 4, 0, 0)),
+        ([12, 18, 8, 27], (1, 6, 36, 216)),
+        ([6, 4, 9], (1, 6, 36)),
+        ([3] * 5, (3,) * 5),
     ):
         assert smith_normal_form(BigIntMatrix.diagonal(diag)).invariant_factors == facs
+
+
+def test_snf_chain_matches_pairwise_oracle():
+    # factor refinement over a coprime base against pairwise gcd/lcm passes;
+    # the composite bases 6, 12 and 18 share primes in different
+    # proportions, so the refinement must split them
+    rng = random.Random("snf-chain")
+    bases = (2, 3, 4, 5, 6, 9, 12, 18, 35, 7**5)
+    for _ in range(400):
+        diag = []
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.random()
+            if kind < 0.1:
+                d = 0
+            elif kind < 0.2:
+                d = 1
+            elif kind < 0.8:
+                d = math.prod(rng.choice(bases) ** rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            else:
+                d = rng.randint(2, 10**6)
+            diag.append(rng.choice((1, -1)) * d)
+        facs = smith_normal_form(BigIntMatrix.diagonal(diag)).invariant_factors
+        assert facs == pairwise_chain([abs(d) for d in diag]), diag
 
 
 def _random_snf_input(rng, kind):
@@ -166,6 +202,33 @@ def test_snf_matches_gcd_pivot_oracle_random(kind):
     rng = random.Random(f"snf-{kind}")
     for _ in range(300):
         rows, nc = _random_snf_input(rng, kind)
+        snf = smith_normal_form(BigIntMatrix.from_rows(rows, ncols=nc))
+        assert snf.invariant_factors == gcd_pivot_snf(rows, nc), rows
+
+
+@pytest.mark.parametrize("kind", ["banded", "sparse"])
+def test_snf_matches_gcd_pivot_oracle_large(kind):
+    # sizes past the random kinds above, where the column index sees fill
+    # spread over many rows and columns.  banded: offsets -1..2 with zeros
+    # in the band and wrap-around corners like the surgery matrix's;
+    # sparse: whole rows and columns zero, so zero pivots swap often
+    rng = random.Random(f"snf-large-{kind}")
+    for _ in range(150):
+        nr = rng.randint(13, 40)
+        if kind == "banded":
+            nc = nr
+            # entries up to 9 let the plain reduction of the oracle run for
+            # seconds on some of these sizes
+            rows = [[rng.randint(-5, 5) if -1 <= j - i <= 2 and rng.random() < 0.8 else 0
+                     for j in range(nc)] for i in range(nr)]
+            for i, j in ((nr - 1, 0), (nr - 2, 0), (nr - 1, 1), (0, nc - 1)):
+                rows[i][j] = rng.randint(-3, 3)
+        else:
+            nc = rng.randint(13, 40)
+            zero_rows = set(rng.sample(range(nr), nr // 3))
+            zero_cols = set(rng.sample(range(nc), nc // 3))
+            rows = [[rng.randint(-5, 5) if i not in zero_rows and j not in zero_cols
+                     and rng.random() < 0.15 else 0 for j in range(nc)] for i in range(nr)]
         snf = smith_normal_form(BigIntMatrix.from_rows(rows, ncols=nc))
         assert snf.invariant_factors == gcd_pivot_snf(rows, nc), rows
 
@@ -241,7 +304,7 @@ def test_determinant_identity_and_diag():
 
 def test_determinant_rejects_non_square():
     with pytest.raises(ValueError):
-        determinant(BigIntMatrix(1, 2, ((1, 2),)))
+        determinant(BigIntMatrix.from_rows([[1, 2]]))
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -412,9 +475,10 @@ def test_multiplication_matrix_rows_are_remainders():
         for f in polys:
             m = multiplication_matrix(f, g)
             assert (m.nrows, m.ncols) == (d, d)
+            rows = m.to_lists()
             for k in range(d):
                 rem = poly_divmod(IntPoly((0,) * k + f.coeffs), g)[1].coeffs
-                assert m.rows[k] == rem + (0,) * (d - len(rem)), (f, g, k)
+                assert rows[k] == list(rem) + [0] * (d - len(rem)), (f, g, k)
 
 
 def test_multiplication_matrix_rejects_a_non_unit_leading_coefficient():
@@ -450,7 +514,7 @@ def test_circulant_trivial_cases():
     assert multiplication_matrix(IntPoly((1,)), t_n_minus_1(4)).to_lists() == BigIntMatrix.identity(4).to_lists()
     perm = multiplication_matrix(IntPoly((0, 1)), t_n_minus_1(3))
     assert abs(determinant(perm)) == 1
-    assert perm.rows[0][1] == 1 and perm.rows[0][0] == 0
+    assert perm.to_lists()[0][:2] == [0, 1]
     with pytest.raises(ValueError):
         multiplication_matrix(IntPoly((1,)), t_n_minus_1(0))
 

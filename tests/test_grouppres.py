@@ -149,15 +149,25 @@ def test_takahashi_blocks_rebuild_the_matrix():
     for n in range(1, 9):
         for a in grid:
             for b in grid:
-                blocks = takahashi_blocks(a, b)
+                blocks = [block.to_lists() for block in takahashi_blocks(a, b)]
                 rows = [[0] * (2 * n) for _ in range(2 * n)]
                 for i in range(n):
                     for offset, block in enumerate(blocks):
                         j = (i + offset) % n
                         for u in range(2):
                             for v in range(2):
-                                rows[2 * i + u][2 * j + v] += block.rows[u][v]
+                                rows[2 * i + u][2 * j + v] += block[u][v]
                 assert rows == takahashi_matrix(n, a, b).to_lists()
+
+
+def test_takahashi_matrix_stores_only_the_band():
+    # three nonzeros per relator, so at most three stored entries per row;
+    # a dense 20000 x 20000 matrix would hold 4 * 10^8 cells
+    n = 10**4
+    m = takahashi_matrix(n, Rational(1, 1), Rational(-1, 1))
+    assert (m.nrows, m.ncols) == (2 * n, 2 * n)
+    assert max(len(row) for row in m.entries) == 3
+    assert sum(len(row) for row in m.entries) == 6 * n
 
 
 def test_takahashi_drops_zero_exponent_letters():

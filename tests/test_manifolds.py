@@ -268,6 +268,37 @@ def test_small_side_routes_fibonacci_family_large_n():
     assert group.order() == lucas(2 * n) - 2
 
 
+# H_1(M_n(1, 1)) by n mod 6, as (torsion, free rank): the n-fold cyclic
+# branched covers of the trefoil
+TREFOIL_H1 = {1: ((), 0), 2: ((3,), 0), 3: ((2, 2), 0), 4: ((3,), 0), 5: ((), 0), 0: ((), 2)}
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 10_000])
+def test_surgery_route_on_the_unit_family_at_large_n(n):
+    # the Smith form visits only nonzeros, so the 2n x 2n surgery matrix
+    # reduces in well under a second at n = 10^4
+    for a in (1, -1):
+        for b in (1, -1):
+            spec = normalize_spec(n, Rational(a, 1), Rational(b, 1))
+            group = h1_takahashi(spec)
+            assert group == h1_cyclic_route(spec), spec
+            if a * b < 0:  # qs = -1
+                assert group.order() == lucas(2 * n) - 2, spec
+            else:
+                assert (group.torsion, group.free_rank) == TREFOIL_H1[n % 6], spec
+
+
+def test_surgery_route_infinite_coefficient_at_large_n():
+    # M_n(inf, 3) = (Z/3)^n: n equal factors, which pairwise gcd/lcm
+    # passes would order in n^2 / 2 steps; M_n(inf, 0) = Z^n: half the
+    # rows are zero, and each zero pivot swaps in a column past the ones
+    # earlier swaps left zero
+    n = 10**4
+    group = h1_takahashi(normalize_spec(n, Rational(1, 0), Rational(3, 1)))
+    assert group == AbelianGroup((3,) * n)
+    assert h1_takahashi(normalize_spec(n, Rational(1, 0), Rational(0, 1))) == AbelianGroup((), n)
+
+
 # --------------------------------------------------------------- branch knots
 
 def test_branch_knot_figure_eight():
