@@ -11,7 +11,9 @@ lets each step visit only the rows and entries it can change; on the
 banded surgery matrix the fill stays in the band and the wrap-around rows
 and columns.  Resultants build no matrix: they run the subresultant
 remainder sequence, which is also how the surgery determinant is computed
-(manifolds.takahashi_determinant).  `determinant`, Bareiss' exact-division
+(manifolds.takahashi_determinant).  Z[t]/(f, g) is reduced on the smaller
+side (ring_quotient); there t^n mod f comes by doubling and a 2 x 2
+Smith form in closed form.  `determinant`, Bareiss' exact-division
 elimination of a whole matrix, has no caller in the library.
 Every operation is a pure function, and the values are frozen dataclasses.
 A matrix's rows are read-only by contract and the reductions copy them
@@ -146,18 +148,20 @@ class SnfResult:
     def __post_init__(self):
         facs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
-        for d in facs:
-            if d < 0:
-                raise ValueError("invariant factors must be nonnegative")
-        for a, b in zip(facs, facs[1:]):
-            if a == 0 and b != 0:
-                raise ValueError("zero factors must come last")
-            if a != 0 and b != 0 and b % a != 0:
-                raise ValueError("broken divisibility chain")
+        # the 1s of a chain come first and its zeros last; both runs are
+        # checked at C speed, and only the factors between them in Python
+        ones, zeros = facs.count(1), facs.count(0)
+        rest = facs[ones : len(facs) - zeros]
+        if rest and min(rest) < 0:
+            raise ValueError("invariant factors must be nonnegative")
+        if any(facs[len(facs) - zeros :]):
+            raise ValueError("zero factors must come last")
+        if facs[:ones].count(1) != ones or any(b % a for a, b in zip(rest, rest[1:])):
+            raise ValueError("broken divisibility chain")
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d != 0)
+        return len(self.invariant_factors) - self.invariant_factors.count(0)
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,9 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
     Row k is then cleared by the same operations on columns, in ascending
     order.  A column operation that refills column k repeats the step;
     each one that does replaces the pivot by a proper divisor, so the step
-    ends.  Rows are swapped only for a zero pivot, and columns only when
+    ends.  A pivot of +-1 once the folds are done ends the step at once:
+    it divides every entry of row k, which the column phase would only
+    drop.  Rows are swapped only for a zero pivot, and columns only when
     column k is zero from row k down.
 
     The rows are copied as {column: value} dicts, and a column index,
@@ -338,6 +344,10 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
                             del row[j]
                             below[j].discard(i)
             below[k].clear()
+            # a unit pivot divides every entry of row k, which the column
+            # phase would only drop
+            if p == 1 or p == -1:
+                break
             # column k is now zero below row k, so subtracting q times it
             # from column j changes row k alone
             for j in sorted(pk) if len(pk) > 1 else tuple(pk):
@@ -423,9 +433,15 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
 
 def cokernel(m: BigIntMatrix) -> AbelianGroup:
     """Z^ncols modulo the subgroup generated by the rows of m."""
-    snf = smith_normal_form(m)
-    torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    return AbelianGroup(torsion, m.ncols - snf.rank)
+    return _group(smith_normal_form(m).invariant_factors, m.ncols)
+
+
+def _group(factors: tuple[int, ...], ncols: int) -> AbelianGroup:
+    """Z^ncols modulo the diagonal matrix of a divisibility chain, whose
+    1s come first and zeros last, so the torsion is a slice taken at C
+    speed."""
+    ones, zeros = factors.count(1), factors.count(0)
+    return AbelianGroup(factors[ones : len(factors) - zeros], ncols - len(factors) + zeros)
 
 
 def determinant(m: BigIntMatrix) -> int:
@@ -620,19 +636,25 @@ def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
     """Matrix of multiplication by f on Z[t]/(g), for g monic up to sign.
 
     Row k is f * t^k mod g, k < deg g, so the cokernel is Z[t]/(f, g) and
-    |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.  Row 0
-    is the remainder of f and each next row t times the last: a shift whose
-    top coefficient c, when nonzero, adds -lc(g) * c * g_i at each nonzero
-    lower term g_i of g, since t^(deg g) = -lc(g) * (g - lc(g) t^(deg g)).
-    The cyclic and branched-cover routes build it through ring_quotient,
+    |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.  The
+    cyclic and branched-cover routes build it through ring_quotient,
     which reduces whichever of their two polynomials gives the smaller
     matrix.
     """
     if not _monic_up_to_sign(g):
         raise ValueError("the modulus must be monic up to sign")
+    return BigIntMatrix.from_rows(_multiples(poly_divmod(f, g)[1].coeffs, g), ncols=g.degree)
+
+
+def _multiples(r: Iterable[int], g: IntPoly) -> list[list[int]]:
+    """The coefficient rows of r, t r, ..., t^(d-1) r mod g, d = deg g, for
+    g monic up to sign and deg r < d.  Each row is t times the last: a
+    shift whose top coefficient c, when nonzero, adds -lc(g) * c * g_i at
+    each nonzero lower term g_i of g, since
+    t^d = -lc(g) * (g - lc(g) t^d)."""
     d = g.degree
     wrap = [(i, -g.coeffs[-1] * c) for i, c in enumerate(g.coeffs[:-1]) if c]
-    row = list(poly_divmod(f, g)[1].coeffs)
+    row = list(r)
     row += [0] * (d - len(row))
     rows = []
     for _ in range(d):
@@ -642,7 +664,73 @@ def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
         if top:
             for i, w in wrap:
                 row[i] += top * w
-    return BigIntMatrix.from_rows(rows, ncols=d)
+    return rows
+
+
+def _power_and_sum(m: int, f: IntPoly) -> tuple[list[int], list[int]]:
+    """(t^m mod f, 1 + t + ... + t^(m-1) mod f) as coefficient lists of
+    length deg f, for f monic up to sign of degree >= 1.
+
+    Binary powering (Knuth, TAOCP Vol. 2, Sec. 4.6.3) on the pair
+    (P_m, S_m), reading the bits of m from the top: P_2m = P_m^2,
+    S_2m = S_m (1 + P_m), then on a set bit P_(m+1) = t P_m and
+    S_(m+1) = S_m + P_m.  That is O(log m) products of polynomials of
+    degree below deg f, where long division makes a pass of length m.
+    """
+    c, d = f.coeffs, f.degree
+    lc = c[-1]
+
+    def reduce(a: list[int]) -> list[int]:
+        # t^i = t^(i-d) (t^d - lc f), and lc = 1/lc
+        for i in range(len(a) - 1, d - 1, -1):
+            if x := a[i] * lc:
+                for j in range(d):
+                    a[i - d + j] -= x * c[j]
+        del a[d:]
+        return a
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return reduce(out)
+
+    p, s = [1] + [0] * (d - 1), [0] * d
+    for bit in bin(m)[2:]:
+        s = mul(s, [p[0] + 1, *p[1:]])
+        p = mul(p, p)
+        if bit == "1":
+            s = [x + y for x, y in zip(s, p)]
+            p = reduce([0, *p])
+    return p, s
+
+
+def _remainder(g: IntPoly, f: IntPoly) -> list[int]:
+    """g mod f, for f monic up to sign.  The two large moduli of the
+    cyclic and branched-cover routes, t^n - 1 and 1 + t + ... + t^(n-1),
+    are recognised by their coefficients at C speed and take
+    _power_and_sum; any other g takes long division."""
+    c, d = g.coeffs, f.degree
+    if not d:
+        return []
+    if c.count(1) == len(c):
+        return _power_and_sum(len(c), f)[1]
+    if c[0] == -1 and c[-1] == 1 and c.count(0) == len(c) - 2:
+        p = _power_and_sum(len(c) - 1, f)[0]
+        p[0] -= 1
+        return p
+    return list(poly_divmod(g, f)[1].coeffs)
+
+
+def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Invariant factors of [[a, b], [c, d]] in closed form: d1 = gcd of
+    the four entries and d2 = |ad - bc| / d1, or (0, 0) for the zero
+    matrix.  No Euclid loop runs on the entries, which on the unit family
+    are Fibonacci-sized."""
+    d1 = math.gcd(a, b, c, d)
+    return d1, abs(a * d - b * c) // d1 if d1 else 0
 
 
 def ring_quotient(f: IntPoly, g: IntPoly) -> AbelianGroup:
@@ -650,16 +738,24 @@ def ring_quotient(f: IntPoly, g: IntPoly) -> AbelianGroup:
 
     Z[t]/(f, g) is the cokernel of multiplication by f on Z[t]/(g), and
     also of multiplication by g on Z[t]/(f) whenever f is monic up to sign
-    too, so the smaller ring is reduced: a deg f x deg f matrix when f is
-    nonzero, monic up to sign and of lower degree than g, and otherwise
-    the deg g x deg g matrix of f on Z[t]/(g).  A constant modulus gives
-    the 0 x 0 matrix, so a unit f or g gives the trivial group.
+    too, so the smaller ring is reduced.  When f is nonzero, monic up to
+    sign and of lower degree than g, the deg f x deg f matrix of g mod f
+    is reduced, and g mod f comes from _remainder: by doubling when g is
+    t^n - 1 or 1 + ... + t^(n-1), in O(log n) products, and by long
+    division otherwise.  Its Smith form is the closed form _smith_2x2 when
+    deg f = 2, and smith_normal_form at any other degree.  Otherwise the
+    deg g x deg g matrix of f on Z[t]/(g) goes to smith_normal_form.  A
+    constant modulus gives the 0 x 0 matrix, so a unit f or g gives the
+    trivial group.
     """
     if not _monic_up_to_sign(g):
         raise ValueError("the modulus must be monic up to sign")
-    if _monic_up_to_sign(f) and f.degree < g.degree:
-        f, g = g, f
-    return cokernel(multiplication_matrix(f, g))
+    if not (_monic_up_to_sign(f) and f.degree < g.degree):
+        return cokernel(multiplication_matrix(f, g))
+    rows = _multiples(_remainder(g, f), f)
+    if len(rows) == 2:
+        return _group(_smith_2x2(*rows[0], *rows[1]), 2)
+    return cokernel(BigIntMatrix.from_rows(rows, ncols=len(rows)))
 
 
 def normalize_up_to_units(f: "IntPoly | Mapping[int, int]") -> IntPoly:

@@ -329,7 +329,9 @@ def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     (exactalg.ring_quotient, which the cyclic route also uses).  When delta
     is monic up to sign and of degree below n - 1, this is the cokernel of
     multiplication by 1 + ... + t^(n-1) on Z[t]/(delta), a deg delta x
-    deg delta matrix; otherwise it is the (n - 1) x (n - 1) matrix of
+    deg delta matrix whose first row comes by doubling in O(log n)
+    products, with a closed-form Smith form at degree 2 (the trefoil and
+    the figure-eight); otherwise it is the (n - 1) x (n - 1) matrix of
     multiplication by delta on Z[t]/(1 + ... + t^(n-1)), 0 x 0 at n = 1.
     The order, when finite, independently equals
     |resultant(delta, 1 + ... + t^(n-1))| (see branched_cover_order).

@@ -8,6 +8,7 @@ from takahashi.exactalg import (
     BigIntMatrix,
     IntPoly,
     Rational,
+    SnfResult,
     cokernel,
     cyclotomic_quotient,
     determinant,
@@ -19,6 +20,7 @@ from takahashi.exactalg import (
     ring_quotient,
     smith_normal_form,
 )
+from takahashi.exactalg import _power_and_sum, _remainder, _smith_2x2
 
 from oracles import (
     cofactor_det,
@@ -128,6 +130,17 @@ def test_snf_random_divisibility_and_determinant():
         for p in (2, 3, 5, 7):
             divisible = sum(1 for d in facs if d % p == 0)
             assert divisible == min(nr, nc) - rank_mod_p(rows, p)
+
+
+def test_snf_result_checks_its_chain():
+    # 1s first, zeros last, each factor dividing the next; the runs of 1s
+    # and zeros are checked apart from the factors between them
+    for facs in [(), (0,), (1,), (1, 1, 2, 4, 0), (3, 0, 0), (1, 1, 6, 12, 12)]:
+        assert SnfResult(facs).invariant_factors == facs
+        assert SnfResult(facs).rank == len(facs) - facs.count(0)
+    for facs in [(-2,), (1, -1), (1, 4, -8), (0, 1), (2, 0, 2), (2, 1), (1, 2, 1), (2, 3), (1, 4, 6, 0)]:
+        with pytest.raises(ValueError):
+            SnfResult(facs)
 
 
 def test_snf_chain_fixup_with_ones_and_zeros():
@@ -496,18 +509,69 @@ def test_ring_quotient_either_side():
     def rand_poly(lead):
         return IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))) + (lead,))
 
-    for _ in range(300):
-        g = rand_poly(rng.choice((1, -1)))
-        f = rand_poly(rng.choice((1, -1, 2, -3, 0)))
+    # the two moduli that _remainder recognises, and others that differ
+    # from them in one coefficient or in sign, which take long division
+    moduli = [rand_poly(rng.choice((1, -1))) for _ in range(300)]
+    for n in range(1, 41):
+        ones = (1,) * n
+        moduli += [t_n_minus_1(n), cyclotomic_quotient(n), IntPoly((1,) + (0,) * (n - 1) + (1,)),
+                   IntPoly((1,) + (0,) * (n - 1) + (-1,)), IntPoly(ones[:-1] + (2, 1)),
+                   IntPoly((-1,) + (0,) * (n - 1) + (-1, 1)), IntPoly(tuple(-c for c in ones))]
+    for g in moduli:
+        f = rand_poly(rng.choice((1, -1, 1, -1, 2, -3, 0)))
         group = ring_quotient(f, g)
+        assert type(group.free_rank) is int
         assert group == cokernel(multiplication_matrix(f, g)), (f, g)
         if not f.is_zero and f.coeffs[-1] in (1, -1):
             assert group == cokernel(multiplication_matrix(g, f)), (f, g)
+    # (t - 1)^2 divides both sides at once: Z/n + Z, det = 0 with d1 = n
+    for n in range(3, 9):
+        group = ring_quotient(IntPoly((1, -2, 1)), t_n_minus_1(n))
+        assert group == AbelianGroup((n,), 1) and type(group.free_rank) is int
     assert ring_quotient(IntPoly((-1,)), t_n_minus_1(5)) == AbelianGroup()
     assert ring_quotient(IntPoly(()), t_n_minus_1(3)) == AbelianGroup((), 3)
     for g in (IntPoly(()), IntPoly((1, 2)), IntPoly((1, 0, -2))):
         with pytest.raises(ValueError):
             ring_quotient(IntPoly((1, 1)), g)
+
+
+def test_doubling_remainders_match_long_division():
+    # t^m mod f and 1 + ... + t^(m-1) mod f by doubling, and _remainder of
+    # the two recognised moduli, against long division; f monic up to
+    # sign of degree 1-4, m = 0..300, so m <= deg f is included
+    rng = random.Random(1919)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        f = IntPoly(tuple(rng.randint(-6, 6) for _ in range(d)) + (rng.choice((1, -1)),))
+        for m in [0, 1, 2, 3, 4, 5] + rng.sample(range(6, 301), 12):
+            p, s = _power_and_sum(m, f)
+            for got, g in ((p, IntPoly((0,) * m + (1,))), (s, IntPoly((1,) * m))):
+                rem = list(poly_divmod(g, f)[1].coeffs)
+                assert got == rem + [0] * (d - len(rem)), (f, m, g)
+            if m:
+                for g in (t_n_minus_1(m), cyclotomic_quotient(m)):
+                    rem = list(poly_divmod(g, f)[1].coeffs)
+                    assert _remainder(g, f) == rem + [0] * (d - len(rem)), (f, g)
+    # a unit modulus leaves nothing
+    assert _remainder(t_n_minus_1(7), IntPoly((-1,))) == []
+
+
+def test_smith_2x2_closed_form_matches_gcd_pivot_oracle():
+    rng = random.Random(2222)
+    big = 2**200
+    cases = [(0, 0, 0, 0), (0, 0, 0, 5), (3, 6, -2, -4), (0, 7, 0, 0), (-4, 6, 6, -9), (1, 0, 0, 1),
+             (big, big, big, big), (2 * big, 0, 0, 0)]
+    for _ in range(400):
+        bound = rng.choice((1, 5, 100, 2**200))
+        a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
+        cases.append((a, b, c, d))
+        k, l = rng.randint(-bound, bound), rng.randint(-6, 6)
+        cases.append((a, b, l * a, l * b))  # rank at most 1
+        cases.append((k * a, k * b, a, b))
+    for a, b, c, d in cases:
+        factors = _smith_2x2(a, b, c, d)
+        assert factors == gcd_pivot_snf([[a, b], [c, d]], 2), (a, b, c, d)
+        assert factors == smith_normal_form(BigIntMatrix.from_rows([[a, b], [c, d]])).invariant_factors
 
 
 def test_circulant_trivial_cases():

@@ -393,6 +393,9 @@ def test_cover_order_trefoil_large_n():
     for n in range(2000, 2006):
         assert branched_cover_order(delta, n) == by_residue[n % 6]
         assert branched_cover_homology(delta, n) == groups[n % 6]
+    # 1 + ... + t^(n-1) mod Delta by doubling: well under a second
+    for n in (100_000, 100_002):
+        assert branched_cover_homology(delta, n) == groups[n % 6]
 
 
 def test_small_side_routes_match_n_by_n_matrices():

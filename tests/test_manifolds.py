@@ -115,6 +115,8 @@ def test_cyclic_route_examples():
 
 
 def test_cyclic_route_matches_surgery_route():
+    # the free rank must be an int, not the bool of det == 0, which
+    # AbelianGroup equality alone would not tell apart
     for n in range(1, 9):
         for p in range(-4, 5):
             for q in range(-4, 5):
@@ -122,7 +124,11 @@ def test_cyclic_route_matches_surgery_route():
                     continue
                 for s in range(-4, 5):
                     spec = normalize_spec(n, Rational(p, q), Rational(1, s))
-                    assert h1_takahashi(spec) == h1_cyclic_route(spec)
+                    group = h1_cyclic_route(spec)
+                    assert h1_takahashi(spec) == group and type(group.free_rank) is int
+    # M_n(0, 1) = Z/n + Z: the closed 2 x 2 form meets det = 0 with d1 = n
+    for n in range(5, 8):
+        assert h1_cyclic_route(normalize_spec(n, Rational(0, 1), Rational(1, 1))) == AbelianGroup((n,), 1)
 
 
 def test_cyclic_route_matches_abelianized_cyclic_presentation():
@@ -140,14 +146,14 @@ def test_cyclic_route_matches_abelianized_cyclic_presentation():
 
 
 def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
-    # the matrices each route of M_n(+-1, +-1) hands to the Smith form, and
-    # the n-square circulant and (n - 1)-square cover matrices built
-    # explicitly, since the routes reduce the degree-2 side from n = 3 on;
-    # all against the plain reduction
+    # the matrices each route of M_n(+-1, +-1) hands to the Smith form or
+    # to the closed 2 x 2 form, and the n-square circulant and (n - 1)-square
+    # cover matrices built explicitly, since the routes reduce the degree-2
+    # side from n = 3 on; all against the plain reduction
     from takahashi import exactalg
 
-    real = exactalg.smith_normal_form
-    checked = []
+    real, real_2x2 = exactalg.smith_normal_form, exactalg._smith_2x2
+    checked, checked_2x2 = [], []
 
     def checking(m):
         snf = real(m)
@@ -155,7 +161,14 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
         checked.append(m)
         return snf
 
+    def checking_2x2(a, b, c, d):
+        factors = real_2x2(a, b, c, d)
+        assert factors == gcd_pivot_snf([[a, b], [c, d]], 2), (a, b, c, d)
+        checked_2x2.append((a, b, c, d))
+        return factors
+
     monkeypatch.setattr(exactalg, "smith_normal_form", checking)
+    monkeypatch.setattr(exactalg, "_smith_2x2", checking_2x2)
     for n in range(1, 41):
         for a in (1, -1):
             for b in (1, -1):
@@ -167,9 +180,14 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
                 rep = representer_polynomial(n, spec.pq.num, spec.pq.den, spec.rs.den)
                 cokernel(multiplication_matrix(rep, t_n_minus_1(n)))
                 cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
-    # five Smith forms per spec, three routes and two explicit matrices;
-    # the 1-fold cover (S^3) reduces a 0 x 0 matrix either way
-    assert len(checked) == 40 * 4 * 5
+    # five reductions per spec, three routes and two explicit matrices.  The
+    # cyclic route takes the closed 2 x 2 form once the degree-2 representer
+    # is the smaller side, n >= 3 (38 n), and the cover route once the
+    # degree-2 Alexander polynomial is, n >= 4 (37 n); the other 40 * 4 * 5 -
+    # 4 * (38 + 37) reductions are Smith forms.  The 1-fold cover (S^3)
+    # reduces a 0 x 0 matrix either way
+    assert len(checked_2x2) == 4 * (38 + 37)
+    assert len(checked) == 40 * 4 * 5 - 4 * (38 + 37)
 
 
 def test_homology_routes_build_no_words(monkeypatch):
@@ -256,16 +274,31 @@ def test_takahashi_determinant_fibonacci_family_large_n():
     assert abs(takahashi_determinant(spec)) == lucas(2 * n) - 2 == representer_order(spec)
 
 
+def lucas_by_doubling(k):
+    # L_2j = L_j^2 - 2 (-1)^j and L_(2j+1) = L_j L_(j+1) - (-1)^j, over the
+    # bits of k from the top, with (a, b) = (L_j, L_(j+1))
+    a, b, j = 2, 1, 0
+    for bit in bin(k)[2:]:
+        sign = -1 if j & 1 else 1
+        a, b, j = a * a - 2 * sign, a * b - sign, 2 * j
+        if bit == "1":
+            a, b, j = b, a + b, j + 1
+    return a
+
+
 def test_small_side_routes_fibonacci_family_large_n():
     # H_1(M_n(1, -1)) is the homology of the n-fold cover branched over the
-    # figure-eight; both routes reduce a 2 x 2 matrix where the n x n one
-    # takes seconds
-    n = 10_000
-    spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
+    # figure-eight, Delta = t^2 - 3t + 1; both routes reduce a 2 x 2 matrix
+    # where the n x n one takes seconds, and with t^n mod f by doubling and
+    # the closed 2 x 2 Smith form n = 10^5 takes well under a second
+    assert [lucas_by_doubling(k) for k in range(100)] == [lucas(k) for k in range(100)]
     delta = alexander_two_bridge(TwoBridge(5, 3))
-    group = branched_cover_homology(delta, n)
-    assert group == h1_cyclic_route(spec)
-    assert group.order() == lucas(2 * n) - 2
+    assert delta.poly == IntPoly((1, -3, 1))
+    for n in (10_000, 100_000):
+        spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
+        group = branched_cover_homology(delta, n)
+        assert group == h1_cyclic_route(spec)
+        assert group.order() == lucas_by_doubling(2 * n) - 2
 
 
 # H_1(M_n(1, 1)) by n mod 6, as (torsion, free rank): the n-fold cyclic
