@@ -56,6 +56,7 @@ from .manifolds import (
     branch_knot,
     h1_cyclic_route,
     h1_takahashi,
+    h1_transfer,
     normalize_spec,
     representer_order,
     takahashi_determinant,

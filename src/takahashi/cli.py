@@ -35,7 +35,7 @@ from .knotkit import (
     normalize_two_bridge,
     two_bridge_equivalent,
 )
-from .manifolds import branch_knot, h1_takahashi, normalize_spec
+from .manifolds import branch_knot, h1_transfer, normalize_spec
 
 __all__ = ["main", "entry"]
 
@@ -98,7 +98,7 @@ def group_lines(g: AbelianGroup) -> list[str]:
 
 def cmd_h1(args) -> Result:
     spec = normalize_spec(args.n, args.pq, args.rs)
-    g = h1_takahashi(spec)
+    g = h1_transfer(spec)
     return 0, {**spec_fields(spec), **group_fields(g)}, lambda: [str(spec), *group_lines(g)]
 
 
@@ -195,7 +195,7 @@ def cmd_conjecture_scan(args) -> Result:
         raise ValueError("--grid-max must be at least 1")
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2: the scan starts at n = 2")
-    rows = [{**spec_fields(spec), **group_fields(h1_takahashi(spec)),
+    rows = [{**spec_fields(spec), **group_fields(h1_transfer(spec)),
              "pOneROne": spec.pq.num == 1 and spec.rs.num == 1}
             for spec in grid_specs(args.grid_max, range(2, args.n_max + 1))]
 

@@ -10,10 +10,13 @@ column with extended-gcd row and column operations, and a column index
 lets each step visit only the rows and entries it can change; on the
 banded surgery matrix the fill stays in the band and the wrap-around rows
 and columns.  Resultants build no matrix: they run the subresultant
-remainder sequence, which is also how the surgery determinant is computed
-(manifolds.takahashi_determinant).  Z[t]/(f, g) is reduced on the smaller
-side (ring_quotient); there t^n mod f comes by doubling and a 2 x 2
-Smith form in closed form.  `determinant`, Bareiss' exact-division
+remainder sequence.  Z[t]/(f, g) is reduced on the smaller side
+(ring_quotient); there t^n mod f comes by doubling and a 2 x 2 Smith form
+in closed form.  The surgery homology and determinant of every n share a
+2 x 2 kernel: M^n by doubling, the closed-form Smith factors of
+M^n - u^n I off the primes of u (smith_power_2x2, prime_part), and
+Res(t^n - 1, f) of a quadratic f by a Lucas sequence (lucas_resultant).
+`determinant`, Bareiss' exact-division
 elimination of a whole matrix, has no caller in the library.
 Every operation is a pure function, and the values are frozen dataclasses.
 A matrix's rows are read-only by contract and the reductions copy them
@@ -41,6 +44,9 @@ __all__ = [
     "cyclotomic_quotient",
     "multiplication_matrix",
     "ring_quotient",
+    "prime_part",
+    "smith_power_2x2",
+    "lucas_resultant",
     "normalize_up_to_units",
     "poly_divmod",
     "laurent_add",
@@ -731,6 +737,77 @@ def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     are Fibonacci-sized."""
     d1 = math.gcd(a, b, c, d)
     return d1, abs(a * d - b * c) // d1 if d1 else 0
+
+
+def _power_2x2(m: tuple[int, int, int, int], n: int) -> tuple[int, int, int, int]:
+    """M^n for n >= 0, with M = [[a, b], [c, d]] given as (a, b, c, d), by
+    binary powering from the top bit: a squaring takes five products and
+    a step by M, whose entries are small, eight."""
+    a, b, c, d = 1, 0, 0, 1
+    w, x, y, z = m
+    for bit in bin(n)[2:]:
+        bc, ad = b * c, a + d
+        a, b, c, d = a * a + bc, b * ad, c * ad, d * d + bc
+        if bit == "1":
+            a, b, c, d = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
+    return a, b, c, d
+
+
+def prime_part(x: int, m: int) -> int:
+    """The largest divisor of |x| whose primes all divide m, with no
+    factoring: h = gcd(x, m), then h <- gcd(x, h^2) until h holds still,
+    each round doubling the exponent of every prime not yet complete.  A
+    zero x gives 0, since h would grow without end."""
+    if not x:
+        return 0
+    h = math.gcd(x, m)
+    while (g := math.gcd(x, h * h)) != h:
+        h = g
+    return h
+
+
+def smith_power_2x2(m: tuple[int, int, int, int], u: int, n: int) -> tuple[int, int]:
+    """Invariant factors (d1, d2) of M^n - u^n I with the primes of u
+    removed, for M = [[a, b], [c, d]] given as (a, b, c, d) with
+    det M = u^2 != 0; a zero factor stays 0.
+
+    This is the closed form of _smith_2x2, d1 = gcd of the entries and
+    d2 = |det| / d1, with the determinant known: det M^n = u^(2n), so
+    det(M^n - u^n I) = u^n (2 u^n - tr M^n).  Off the primes of u, d2 is
+    then |2 u^n - tr M^n| / d1, and prime_part never climbs through the
+    factor |u|^n that |det| carries.  M^n comes in O(log n) products.
+    """
+    a, b, c, d = _power_2x2(m, n)
+    un = u**n
+    d1 = math.gcd(a - un, b, c, d - un)
+    if not d1:
+        return 0, 0
+    d1 //= prime_part(d1, u)
+    gap = 2 * un - a - d
+    return d1, gap and abs(gap) // prime_part(gap, u) // d1
+
+
+def lucas_resultant(a: int, b: int, c: int, n: int) -> int:
+    """Res(t^n - 1, a t^2 + b t + c), signed, for n >= 1, in O(log n)
+    products.
+
+    Over the roots x, y of f the product of f(w) over the n-th roots of
+    unity w is a^n (x^n - 1)(y^n - 1) = a^n + c^n - V_n, where
+    V_n = (ax)^n + (ay)^n is the Lucas sequence V_n(P, Q) with P = -b and
+    Q = ac.  It comes by doubling (Joye-Quisquater, "Efficient computation
+    of full Lucas sequences", 1996): V_2k = V_k^2 - 2 Q^k and
+    V_(2k+1) = V_k V_(k+1) - P Q^k.  At a = 0 the formula gives c^n - (-b)^n,
+    the product for a linear f, so the sign is that of
+    resultant(t^n - 1, f) at every degree of f.
+    """
+    p, q = -b, a * c
+    v, w, qk = 2, p, 1  # V_k, V_(k+1) and Q^k, from k = 0
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w, qk = v * w - p * qk, w * w - 2 * q * qk, q * qk * qk
+        else:
+            v, w, qk = v * v - 2 * qk, v * w - p * qk, qk * qk
+    return a**n + c**n - v
 
 
 def ring_quotient(f: IntPoly, g: IntPoly) -> AbelianGroup:

@@ -1,12 +1,14 @@
 """Surgery-description layer: normalization of the coefficients of a
 periodic Takahashi manifold, the homology routes through both
-presentation families, the genus-one branching knot of the p = r = 1
+presentation families and from 2 x 2 matrix powers (h1_transfer, which
+the command line runs), the genus-one branching knot of the p = r = 1
 family, the lens-space base of n = 1, and the coefficient symmetries.
 The claims suite (takahashi.claims) compares these with one another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactalg import (
@@ -16,10 +18,13 @@ from .exactalg import (
     Rational,
     cokernel,
     determinant,  # unused here; perfbench's binding test reads manifolds.determinant
+    lucas_resultant,
+    prime_part,
     resultant,
     ring_quotient,
+    smith_power_2x2,
 )
-from .grouppres import representer_polynomial, takahashi_blocks, takahashi_matrix
+from .grouppres import representer_polynomial, takahashi_matrix
 from .knotkit import (
     ConwayForm,
     TwoBridge,
@@ -32,6 +37,7 @@ __all__ = [
     "TakahashiSpec",
     "normalize_spec",
     "h1_takahashi",
+    "h1_transfer",
     "h1_cyclic_route",
     "takahashi_determinant",
     "representer_order",
@@ -155,18 +161,70 @@ def takahashi_determinant(spec: TakahashiSpec) -> int:
     shift (grouppres.takahashi_blocks), so its determinant is the product
     of det(A0 + w A1) over the n-th roots of unity w, which is
     Res(t^n - 1, f) for f = det(A0 + A1 t) = qs t^2 + (pr - 2qs) t + qs.
-    Since t^n - 1 is monic the sign is exact, but only in this argument
-    order: when qs = 0, f has degree 1 and resultant(f, t^n - 1) flips
-    the sign at odd n.  The subresultant sequence costs O(n) against a
-    divisor of degree 2, where Bareiss on the full matrix costs O(n^3).
+    For f = a t^2 + b t + c that is a^n + c^n - V_n, with V_n the Lucas
+    sequence V_n(-b, ac) (exactalg.lucas_resultant), read straight from
+    (p, q, r, s) in O(log n) products, where Bareiss on the full matrix
+    costs O(n^3).  The sign is exact, also at qs = 0 (an infinite
+    coefficient), where f = pr t and det = (-1)^(n+1) (pr)^n.
     """
-    (a0, b0), (c0, d0), (a1, b1), (c1, d1) = (
-        (row.get(0, 0), row.get(1, 0)) for m in takahashi_blocks(spec.pq, spec.rs) for row in m.entries)
-    f = IntPoly((a0 * d0 - b0 * c0, a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0, a1 * d1 - b1 * c1))
-    return resultant(_t_n_minus_1(spec.n), f)
+    qs = spec.pq.den * spec.rs.den
+    return lucas_resultant(qs, spec.pq.num * spec.rs.num - 2 * qs, qs, spec.n)
+
+
+def h1_transfer(spec: TakahashiSpec) -> AbelianGroup:
+    """H_1 from powers of 2 x 2 matrices, in O(log n) products.
+
+    Over Z[t]/(t^n - 1), t the shift of the periods, H_1 is the cokernel
+    of A(t) = [[q(1 - t), -r], [pt, s(1 - t)]], and det A(t) = f =
+    qs t^2 + (pr - 2qs) t + qs.  The cases:
+
+    - p = r = 0: Z^2.  qs = 0: (Z/|pr|)^n, where pr = 0 gives Z^n.
+    - At a prime that does not divide qs, the relators solve for period
+      i + 1, so that part is coker(T^n - (qs)^n I) with
+      T = [[qs, -rs], [pq, qs - pr]] (exactalg.smith_power_2x2, which
+      removes the primes of qs).
+    - At a prime of qs, which divides at most one of p and r, pt or -r is
+      a unit and the part is that of Z[t]/(f, t^n - 1).  Write f = c f1
+      with c = gcd(qs, pr) and f1 = a t^2 + b t + a, a = qs / c.  Its n
+      factors are c, n - 2 times, then c e1 and c e2, where (e1, e2) are
+      the factors of K^n - a^n I, K = [[0, -a], [a, -b]], off the primes
+      of a and on those of c: at a prime of a, f1 = bt is a unit.  At
+      n = 1 this part is that of |pr| on the primes of qs.
+
+    The two parts multiply index-wise, aligned at the end; a zero factor
+    is a Z summand.  Before it returns, the order (0 when infinite) is
+    checked against |takahashi_determinant|; a mismatch raises
+    AssertionError.  h1_takahashi reduces the surgery matrix instead.
+    """
+    n, p, q, r, s = spec.n, spec.pq.num, spec.pq.den, spec.rs.num, spec.rs.den
+    qs, pr = q * s, p * r
+    if p == r == 0:
+        c, tail = 1, [0, 0]
+    elif qs == 0:
+        c, tail = abs(pr), []
+    else:
+        c = math.gcd(qs, pr)
+        if n == 1:
+            e = [1, prime_part(pr, qs)]
+        elif c == 1:
+            # no prime of qs divides f's content, so this part is trivial;
+            # a Z summand shows in the other part as well
+            e = [1, 1]
+        else:
+            a = qs // c
+            e = [c * prime_part(x, c) for x in smith_power_2x2((0, -a, a, 2 * a - pr // c), a, n)]
+        tail = [x * y for x, y in zip(e, smith_power_2x2((qs, -r * s, p * q, qs - pr), qs, n))]
+    k = max(n - len(tail), 0)
+    if c**k * math.prod(tail) != abs(takahashi_determinant(spec)):
+        raise AssertionError(f"the order of H_1({spec}) from 2 x 2 powers is not |det|")
+    factors = [c] * k + tail
+    return AbelianGroup(tuple(x for x in factors if x > 1), factors.count(0))
 
 
 def representer_order(spec: TakahashiSpec) -> int | None:
     """|resultant(representer polynomial, t^n - 1)| for the r = 1 family;
-    None when it vanishes (infinite homology), as AbelianGroup.order()."""
+    None when it vanishes (infinite homology), as AbelianGroup.order().
+    It runs the subresultant remainder sequence on the representer, so at
+    r = 1 it is a resultant route to |takahashi_determinant|, independent
+    of that function's Lucas sequence."""
     return abs(resultant(_representer(spec), _t_n_minus_1(spec.n))) or None

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own elimination code: determinants
-by brute-force cofactor expansion or by Gaussian elimination over the
-rationals, resultants as Sylvester determinants, ranks by Gaussian
-elimination over F_p, and root-of-unity products in floating point.
+by brute-force cofactor expansion, by Gaussian elimination over the
+rationals, or modulo word-size primes joined by the CRT, resultants as
+Sylvester determinants, ranks by Gaussian elimination over F_p, and
+root-of-unity products in floating point.
 gcd_pivot_snf is a Smith reduction too, but with a different pivot rule
 from the library's: the smallest entry of the whole trailing block,
 restarting on every remainder; it orders the diagonal by the pairwise
@@ -52,6 +53,99 @@ def fraction_det(rows: list[list[int]]) -> int:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which is exact
+    below 3.18 * 10^23 (Sorenson-Webster 2015), far past 2^62."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2 or any(m % b == 0 for b in bases):
+        return m in bases
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_WORD_PRIMES: list[int] = []
+
+
+def word_primes():
+    """The primes below 2^62, from the top; each is searched for once, when
+    the CRT first needs it."""
+    yield from _WORD_PRIMES
+    m = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else (1 << 62) - 1
+    while True:
+        if _is_prime(m):
+            _WORD_PRIMES.append(m)
+            yield m
+        m -= 2
+
+
+def det_mod(rows: list[list[int]], m: int) -> int:
+    """Determinant modulo m by Gaussian elimination over Z/m on rows stored
+    as {column: residue} dicts; a row with a zero in the pivot column is
+    left alone.  Raises ValueError when a pivot is not a unit mod m, which
+    for a prime m never happens."""
+    a = [{j: x % m for j, x in enumerate(r) if x % m} for r in rows]
+    n, det = len(a), 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if k in a[i]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pk = a[k]
+        x = pk.pop(k)
+        det = det * x % m
+        inv = pow(x, -1, m)
+        for row in a[k + 1 :]:
+            c = row.pop(k, 0)
+            if c:
+                f = c * inv % m
+                for j, y in pk.items():
+                    if v := (row.get(j, 0) - f * y) % m:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+    return det % m
+
+
+def crt_det(rows: list[list[int]]) -> int:
+    """Exact determinant from its residues modulo primes below 2^62 whose
+    product M passes twice the Hadamard bound (the product of the row
+    norms), lifted to the symmetric range.
+
+    Z/M is Z/p1 x ... x Z/pk by the CRT, so one elimination over Z/M is an
+    elimination modulo every prime at once; a pivot that is a unit modulo
+    some of the primes but not all makes it one elimination per prime,
+    joined by the CRT."""
+    bound = math.prod(math.isqrt(sum(x * x for x in r)) + 1 for r in rows)
+    primes, modulus = [], 1
+    for p in word_primes():
+        if modulus > 2 * bound:
+            break
+        primes.append(p)
+        modulus *= p
+    try:
+        value = det_mod(rows, modulus)
+    except ValueError:
+        value, joined = 0, 1
+        for p in primes:
+            value += joined * ((det_mod(rows, p) - value) * pow(joined, -1, p) % p)
+            joined *= p
+    return value - modulus if 2 * value > modulus else value
 
 
 def sylvester_resultant(f: list[int], g: list[int]) -> int:

@@ -19,8 +19,12 @@ def run(capsys, *argv):
 
 # Exit code, stdout and stderr, byte for byte, of every subcommand in text
 # and in --json, and of the usage errors that exit 2; a deliberate change
-# of output edits its row in cli_golden.json.
-GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+# of output edits its row in cli_golden.json.  cli_golden_cases.json holds
+# one h1 row for each case of manifolds.h1_transfer (an infinite
+# coefficient, p = r = 0, gcd(qs, pr) = 6, n = 1 and n = 2) and a
+# conjecture-scan, all recorded from the Smith-form route.
+GOLDEN = [row for name in ("cli_golden.json", "cli_golden_cases.json")
+          for row in json.loads(Path(__file__).with_name(name).read_text(encoding="utf-8"))]
 
 
 @pytest.mark.parametrize("row", GOLDEN, ids=[" ".join(row["argv"]) for row in GOLDEN])
@@ -116,6 +120,19 @@ def test_internal_check_failure_exit_code_3(capsys, monkeypatch, name, exc, argv
     assert rc == 3
     assert out == ""
     assert err == f"error: internal check failed: {exc}\n"
+
+
+def test_h1_determinant_mismatch_exit_code_3(capsys, monkeypatch):
+    # h1_transfer checks its order against |takahashi_determinant| before
+    # it returns; a wrong determinant is an internal check failure
+    from takahashi import manifolds
+
+    monkeypatch.setattr(manifolds, "takahashi_determinant", lambda spec: 7)
+    rc, out, err = run(capsys, "h1", "4", "3/2", "1")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_division_by_zero_stays_a_usage_error(capsys, monkeypatch):

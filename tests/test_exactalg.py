@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,23 +14,28 @@ from takahashi.exactalg import (
     cyclotomic_quotient,
     determinant,
     laurent_mul,
+    lucas_resultant,
     multiplication_matrix,
     normalize_up_to_units,
     poly_divmod,
+    prime_part,
     resultant,
     ring_quotient,
     smith_normal_form,
+    smith_power_2x2,
 )
-from takahashi.exactalg import _power_and_sum, _remainder, _smith_2x2
+from takahashi.exactalg import _power_2x2, _power_and_sum, _remainder, _smith_2x2
 
 from oracles import (
     cofactor_det,
+    crt_det,
     fraction_det,
     gcd_pivot_snf,
     pairwise_chain,
     rank_mod_p,
     sylvester_resultant,
     unity_root_abs_product,
+    word_primes,
 )
 
 
@@ -345,6 +351,22 @@ def test_determinant_matches_fraction_elimination_random():
         assert determinant(BigIntMatrix.from_rows(rows, ncols=n)) == fraction_det(rows)
 
 
+def test_crt_oracle_matches_fraction_elimination():
+    # the oracle that replaces Bareiss on the surgery determinants; an entry
+    # equal to one of its primes makes a pivot that is no unit modulo the
+    # product, and the oracle falls back to one elimination per prime
+    rng = random.Random(6262)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        big = rng.choice((9, 10**30))
+        rows = [[rng.randint(-big, big) if rng.random() < 0.5 else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert crt_det(rows) == fraction_det(rows), rows
+    p, p2 = itertools.islice(word_primes(), 2)
+    for rows in ([[p, 1], [1, 1]], [[p, 1, 0], [3, 1, 2], [0, 5, p2]], [[p]]):
+        assert crt_det(rows) == fraction_det(rows), rows
+
+
 # ------------------------------------------------------------- polynomials
 
 def test_intpoly_strips_leading_zeros():
@@ -572,6 +594,78 @@ def test_smith_2x2_closed_form_matches_gcd_pivot_oracle():
         factors = _smith_2x2(a, b, c, d)
         assert factors == gcd_pivot_snf([[a, b], [c, d]], 2), (a, b, c, d)
         assert factors == smith_normal_form(BigIntMatrix.from_rows([[a, b], [c, d]])).invariant_factors
+
+
+def test_power_2x2_matches_repeated_products():
+    rng = random.Random(4141)
+    for _ in range(100):
+        w, x, y, z = m = tuple(rng.randint(-5, 5) for _ in range(4))
+        a, b, c, d = 1, 0, 0, 1
+        for n in range(40):
+            assert _power_2x2(m, n) == (a, b, c, d), (m, n)
+            a, b, c, d = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def test_prime_part_matches_the_factored_form():
+    # x and m are built from their factorizations, with exponents up to 60
+    # in x, so that h <- gcd(x, h^2) runs several rounds
+    rng = random.Random(5151)
+    for _ in range(2000):
+        exponents = {ell: rng.choice((0, 0, 1, 2, rng.randint(3, 60))) for ell in SMALL_PRIMES}
+        x = rng.choice((1, -1)) * math.prod(ell**e for ell, e in exponents.items())
+        primes_of_m = [ell for ell in SMALL_PRIMES if rng.random() < 0.4]
+        m = rng.choice((1, -1)) * math.prod(ell ** rng.randint(1, 3) for ell in primes_of_m)
+        expected = math.prod(ell ** exponents[ell] for ell in primes_of_m)
+        assert prime_part(x, m) == expected, (x, m)
+        assert prime_part(x, 0) == abs(x)
+        assert prime_part(0, m) == 0
+
+
+def test_smith_power_2x2_matches_gcd_pivot_oracle():
+    # the two matrices of manifolds.h1_transfer, T = [[qs, -rs], [pq, qs - pr]]
+    # with u = qs and K = [[0, -a], [a, -b]] with u = a, both of determinant
+    # u^2; the oracle's factors of M^n - u^n I lose the primes of u by trial
+    # division
+    rng = random.Random(5252)
+    for _ in range(400):
+        p, q, r, s = (rng.choice((1, -1)) * rng.choice(SMALL_PRIMES + (1, 4, 6, 9))
+                      for _ in range(4))
+        a, b = q * s, rng.randint(-30, 30)
+        for m, u in (((q * s, -r * s, p * q, q * s - p * r), q * s), ((0, -a, a, -b), a)):
+            n = rng.randint(1, 12)
+            w, x, y, z = _power_2x2(m, n)
+            expected = []
+            for d in gcd_pivot_snf([[w - u**n, x], [y, z - u**n]], 2):
+                for ell in SMALL_PRIMES:
+                    while d and u % ell == 0 and d % ell == 0:
+                        d //= ell
+                expected.append(d)
+            assert smith_power_2x2(m, u, n) == tuple(expected), (m, u, n)
+    # a zero factor stays 0: K^6 = I for f1 = t^2 - t + 1, and a shear
+    assert smith_power_2x2((0, -1, 1, 1), 1, 6) == (0, 0)
+    assert smith_power_2x2((1, 1, 0, 1), 1, 12) == (12, 0)
+    assert smith_power_2x2((2, 2, 0, 2), 2, 3) == (3, 0)
+
+
+def test_lucas_resultant_matches_the_subresultant_sequence():
+    # 6000 quadratics with |coefficients| <= 50 and n <= 60; a quarter have
+    # a zero coefficient, so a linear or constant f and the zero f occur
+    rng = random.Random(7373)
+    zeros = [0, 0, 0]
+    for _ in range(6000):
+        f = [rng.randint(-50, 50) for _ in range(3)]
+        if rng.random() < 0.25:
+            for i in rng.sample(range(3), rng.choice((1, 1, 2, 3))):
+                f[i] = 0
+        for i in range(3):
+            zeros[i] += not f[i]
+        c, b, a = f
+        n = rng.randint(1, 60)
+        assert lucas_resultant(a, b, c, n) == resultant(t_n_minus_1(n), IntPoly(tuple(f))), (f, n)
+    assert min(zeros) > 300
 
 
 def test_circulant_trivial_cases():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,11 +14,13 @@ from takahashi.exactalg import (
     cyclotomic_quotient,
     determinant,
     multiplication_matrix,
+    resultant,
 )
 from takahashi.grouppres import (
     abelianize,
     cyclic_presentation,
     representer_polynomial,
+    takahashi_blocks,
     takahashi_matrix,
     takahashi_presentation,
 )
@@ -33,13 +36,14 @@ from takahashi.manifolds import (
     branch_knot,
     h1_cyclic_route,
     h1_takahashi,
+    h1_transfer,
     normalize_spec,
     representer_order,
     symmetry_variants,
     takahashi_determinant,
 )
 
-from oracles import gcd_pivot_snf, rank_mod_p
+from oracles import crt_det, gcd_pivot_snf, rank_mod_p
 
 
 def t_n_minus_1(n):
@@ -195,7 +199,8 @@ def test_homology_routes_build_no_words(monkeypatch):
 
     def routes():
         return (h1_takahashi(spec), takahashi_determinant(spec), h1_cyclic_route(spec),
-                representer_order(spec), grouppres.relator_identity_check(5, 3, 2, -2))
+                representer_order(spec), grouppres.relator_identity_check(5, 3, 2, -2),
+                h1_transfer(spec))
 
     expected = routes()
     delta = alexander_two_bridge(branch_knot(1, -1))  # Fox calculus needs Words
@@ -246,7 +251,8 @@ def test_takahashi_determinant_signed_random():
         if math.gcd(p, q) != 1 or math.gcd(r, s) != 1:
             continue
         spec = normalize_spec(rng.randint(1, 25), Rational(p, q), Rational(r, s))
-        assert takahashi_determinant(spec) == bareiss(spec), spec
+        matrix = takahashi_matrix(spec.n, spec.pq, spec.rs).to_lists()
+        assert takahashi_determinant(spec) == crt_det(matrix), spec
         checked += 1
 
 
@@ -258,6 +264,20 @@ def test_takahashi_determinant_sign_with_an_infinite_coefficient():
                            (4, Rational(1, 0), Rational(2, 1), -16)):
         spec = normalize_spec(n, pq, rs)
         assert takahashi_determinant(spec) == bareiss(spec) == det
+
+
+def test_determinant_polynomial_is_that_of_the_blocks():
+    # det(A0 + A1 t) of the blocks that h1_takahashi's matrix repeats is
+    # qs t^2 + (pr - 2qs) t + qs, the polynomial takahashi_determinant reads
+    # off the spec, and the Lucas sequence gives its resultant with t^n - 1
+    for spec in grid_specs(4, range(1, 13)):
+        (a0, b0), (c0, d0), (a1, b1), (c1, d1) = (
+            (row.get(0, 0), row.get(1, 0)) for m in takahashi_blocks(spec.pq, spec.rs)
+            for row in m.entries)
+        f = IntPoly((a0 * d0 - b0 * c0, a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0, a1 * d1 - b1 * c1))
+        qs, pr = spec.pq.den * spec.rs.den, spec.pq.num * spec.rs.num
+        assert f == IntPoly((qs, pr - 2 * qs, qs)), spec
+        assert takahashi_determinant(spec) == resultant(t_n_minus_1(spec.n), f), spec
 
 
 def lucas(k):
@@ -284,6 +304,17 @@ def lucas_by_doubling(k):
         if bit == "1":
             a, b, j = b, a + b, j + 1
     return a
+
+
+def test_takahashi_determinant_fibonacci_family_by_doubling():
+    # det = (-1)^(n+1) (L_2n - 2) on M_n(1, -1): Bareiss pins the sign at
+    # small n, and lucas_by_doubling gives L_2n at n = 10^5
+    for n in list(range(1, 13)) + [100_000]:
+        spec = normalize_spec(n, Rational(1, 1), Rational(-1, 1))
+        det = takahashi_determinant(spec)
+        assert det == (-1) ** (n + 1) * (lucas_by_doubling(2 * n) - 2), n
+        if n < 13:
+            assert det == bareiss(spec)
 
 
 def test_small_side_routes_fibonacci_family_large_n():
@@ -434,9 +465,56 @@ def test_routes_agree_on_random_r_one_specs():
                          ids=["M_130(3/2, 1/5)", "M_150(3/2, 1/5)", "M_33(7, 1/-6)"])
 def test_surgery_route_matches_the_cyclic_route_at_large_n(n, pq, rs):
     # specs on which a smallest-entry pivot rule took seconds to minutes in
-    # the Smith form; the cyclic route reduces a different, n x n matrix
+    # the Smith form; the cyclic route reduces a different, n x n matrix,
+    # and the transfer route takes powers of 2 x 2 matrices
     spec = normalize_spec(n, Rational(*pq), Rational(*rs))
-    assert h1_takahashi(spec) == h1_cyclic_route(spec)
+    assert h1_takahashi(spec) == h1_cyclic_route(spec) == h1_transfer(spec)
+
+
+def test_transfer_route_on_a_grid_that_holds_every_claims_grid():
+    grid = set(grid_specs(5, range(1, 9)))
+    # every spec whose H_1 the claims suite computes by the surgery route
+    claimed = {normalize_spec(3, Rational(3, 1), Rational(-3, 1)),
+               normalize_spec(4, Rational(3, 2), Rational(1, 1)),
+               *grid_specs(3, [1]), *grid_specs(3, range(1, 6)),
+               *(normalize_spec(n, Rational(1, q), Rational(1, s))
+                 for q in range(-3, 4) for s in range(-3, 4) for n in range(2, 7))}
+    assert claimed <= grid
+    for spec in grid:
+        assert h1_transfer(spec) == h1_takahashi(spec), spec
+
+
+def test_transfer_route_on_random_specs_of_every_case():
+    # numerators and denominators up to 12, each multiplied by 2, 3 or 6 with
+    # probability 1/2 so that qs and pr share primes; q or s is set to 0
+    # and p = r = 0 often enough that each case of h1_transfer is met
+    rng = random.Random(4242)
+    cases = Counter()
+    while min(cases[c] for c in ("gcd(qs, pr) > 1", "qs = 0", "p = r = 0", "n = 1", "n = 2")) < 60:
+        p, q, r, s = (rng.randint(-12, 12) * rng.choice((1, 1, 1, 2, 3, 6)) for _ in range(4))
+        if rng.random() < 0.1:
+            p = r = 0
+        if rng.random() < 0.1:
+            q, s = rng.choice(((0, s), (q, 0)))
+        if (p, q) == (0, 0) or (r, s) == (0, 0):
+            continue
+        spec = normalize_spec(rng.choice((1, 2, rng.randint(3, 20))), Rational(p, q), Rational(r, s))
+        assert h1_transfer(spec) == h1_takahashi(spec), spec
+        p, q, r, s = spec.pq.num, spec.pq.den, spec.rs.num, spec.rs.den
+        cases["p = r = 0" if p == r == 0 else "qs = 0" if q * s == 0 else
+              "gcd(qs, pr) > 1" if math.gcd(q * s, p * r) > 1 else "other"] += 1
+        cases[f"n = {spec.n}"] += 1
+
+
+def test_transfer_route_at_large_n():
+    # the unit family and a spec whose H_1 has n factors, far past the
+    # surgery route's reach; the order check against the determinant runs
+    # inside h1_transfer
+    n = 100_000
+    group = h1_transfer(normalize_spec(n, Rational(1, 1), Rational(-1, 1)))
+    assert group.order() == lucas_by_doubling(2 * n) - 2
+    group = h1_transfer(normalize_spec(n, Rational(2, 3), Rational(3, 2)))
+    assert group.torsion[: n - 2] == (6,) * (n - 2) and group.free_rank == 0
 
 
 @pytest.mark.parametrize("n, pq, rs", [(31, (3, 2), (-3, 1)), (40, (-2, 1), (2, 3))],
