@@ -10,14 +10,16 @@ column with extended-gcd row and column operations, and a column index
 lets each step visit only the rows and entries it can change; on the
 banded surgery matrix the fill stays in the band and the wrap-around rows
 and columns.  Resultants build no matrix: they run the subresultant
-remainder sequence.  Z[t]/(f, g) is reduced on the smaller side
-(ring_quotient); there t^n mod f comes by doubling and a 2 x 2 Smith form
-in closed form.  The surgery homology and determinant of every n share a
-2 x 2 kernel: M^n by doubling, the closed-form Smith factors of
-M^n - u^n I off the primes of u (smith_power_2x2, prime_part), and
-Res(t^n - 1, f) of a quadratic f by a Lucas sequence (lucas_resultant).
-`determinant`, Bareiss' exact-division
-elimination of a whole matrix, has no caller in the library.
+remainder sequence.  One 2 x 2 kernel serves every n: M^n by doubling
+(_power_2x2) and the closed-form Smith factors of a 2 x 2 matrix
+(_smith_2x2).  It gives Z[t]/(f, t^n - 1), the one large modulus, taken
+by its n (ring_quotient), as C^n - I for f quadratic and monic up to sign
+with companion matrix C, and the surgery homology as the factors of
+M^n - u^n I off the primes of u (smith_power_2x2, prime_part).  For other
+monic f, t^n mod f comes by doubling too, and Res(t^n - 1, f) of a
+quadratic f by a Lucas sequence (lucas_resultant), each in O(log n)
+products.  `determinant`, Bareiss' exact-division elimination of a whole
+matrix, has no caller in the library.
 Every operation is a pure function, and the values are frozen dataclasses.
 A matrix's rows are read-only by contract and the reductions copy them
 before they write; since the rows are dicts, a BigIntMatrix is not
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -202,10 +205,12 @@ class AbelianGroup:
         return self.free_rank == 0
 
     def order(self) -> int | None:
-        """Group order, or None when infinite."""
+        """Group order, or None when infinite.  In a divisibility chain
+        equal factors are adjacent, so the order is the product of d^k
+        over the runs of k equal factors d, one power per run."""
         if self.free_rank:
             return None
-        return math.prod(self.torsion)
+        return math.prod(d ** len(list(run)) for d, run in groupby(self.torsion))
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]
@@ -643,9 +648,7 @@ def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
 
     Row k is f * t^k mod g, k < deg g, so the cokernel is Z[t]/(f, g) and
     |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.  The
-    cyclic and branched-cover routes build it through ring_quotient,
-    which reduces whichever of their two polynomials gives the smaller
-    matrix.
+    tests build it as the plain route to the groups of ring_quotient.
     """
     if not _monic_up_to_sign(g):
         raise ValueError("the modulus must be monic up to sign")
@@ -673,17 +676,18 @@ def _multiples(r: Iterable[int], g: IntPoly) -> list[list[int]]:
     return rows
 
 
-def _power_and_sum(m: int, f: IntPoly) -> tuple[list[int], list[int]]:
-    """(t^m mod f, 1 + t + ... + t^(m-1) mod f) as coefficient lists of
-    length deg f, for f monic up to sign of degree >= 1.
+def _power_mod(m: int, f: IntPoly) -> list[int]:
+    """t^m mod f as a coefficient list of length deg f, for f monic up to
+    sign; empty when f is constant.
 
-    Binary powering (Knuth, TAOCP Vol. 2, Sec. 4.6.3) on the pair
-    (P_m, S_m), reading the bits of m from the top: P_2m = P_m^2,
-    S_2m = S_m (1 + P_m), then on a set bit P_(m+1) = t P_m and
-    S_(m+1) = S_m + P_m.  That is O(log m) products of polynomials of
-    degree below deg f, where long division makes a pass of length m.
+    Binary powering (Knuth, TAOCP Vol. 2, Sec. 4.6.3), reading the bits of
+    m from the top: P_2m = P_m^2, then on a set bit P_(m+1) = t P_m.  That
+    is O(log m) products of polynomials of degree below deg f, where long
+    division makes a pass of length m.
     """
     c, d = f.coeffs, f.degree
+    if not d:
+        return []
     lc = c[-1]
 
     def reduce(a: list[int]) -> list[int]:
@@ -695,39 +699,17 @@ def _power_and_sum(m: int, f: IntPoly) -> tuple[list[int], list[int]]:
         del a[d:]
         return a
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return reduce(out)
-
-    p, s = [1] + [0] * (d - 1), [0] * d
+    p = [1] + [0] * (d - 1)
     for bit in bin(m)[2:]:
-        s = mul(s, [p[0] + 1, *p[1:]])
-        p = mul(p, p)
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(p):
+                    out[i + j] += x * y
+        p = reduce(out)
         if bit == "1":
-            s = [x + y for x, y in zip(s, p)]
             p = reduce([0, *p])
-    return p, s
-
-
-def _remainder(g: IntPoly, f: IntPoly) -> list[int]:
-    """g mod f, for f monic up to sign.  The two large moduli of the
-    cyclic and branched-cover routes, t^n - 1 and 1 + t + ... + t^(n-1),
-    are recognised by their coefficients at C speed and take
-    _power_and_sum; any other g takes long division."""
-    c, d = g.coeffs, f.degree
-    if not d:
-        return []
-    if c.count(1) == len(c):
-        return _power_and_sum(len(c), f)[1]
-    if c[0] == -1 and c[-1] == 1 and c.count(0) == len(c) - 2:
-        p = _power_and_sum(len(c) - 1, f)[0]
-        p[0] -= 1
-        return p
-    return list(poly_divmod(g, f)[1].coeffs)
+    return p
 
 
 def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -810,28 +792,48 @@ def lucas_resultant(a: int, b: int, c: int, n: int) -> int:
     return a**n + c**n - v
 
 
-def ring_quotient(f: IntPoly, g: IntPoly) -> AbelianGroup:
-    """Additive group of Z[t]/(f, g), for g monic up to sign.
+def _circulant(f: IntPoly, n: int) -> BigIntMatrix:
+    """multiplication_matrix(f, t^n - 1), built sparse: row k is f mod
+    t^n - 1, its coefficients summed by exponent mod n, shifted by k, so a
+    row holds at most deg f + 1 entries and no dense n x n rows are held."""
+    folded: dict[int, int] = {}
+    for i, c in enumerate(f.coeffs):
+        folded[i % n] = folded.get(i % n, 0) + c
+    terms = [(i, c) for i, c in folded.items() if c]
+    return BigIntMatrix(n, n, tuple({(i + k) % n: c for i, c in terms} for k in range(n)))
 
-    Z[t]/(f, g) is the cokernel of multiplication by f on Z[t]/(g), and
-    also of multiplication by g on Z[t]/(f) whenever f is monic up to sign
-    too, so the smaller ring is reduced.  When f is nonzero, monic up to
-    sign and of lower degree than g, the deg f x deg f matrix of g mod f
-    is reduced, and g mod f comes from _remainder: by doubling when g is
-    t^n - 1 or 1 + ... + t^(n-1), in O(log n) products, and by long
-    division otherwise.  Its Smith form is the closed form _smith_2x2 when
-    deg f = 2, and smith_normal_form at any other degree.  Otherwise the
-    deg g x deg g matrix of f on Z[t]/(g) goes to smith_normal_form.  A
-    constant modulus gives the 0 x 0 matrix, so a unit f or g gives the
-    trivial group.
+
+def ring_quotient(f: IntPoly, n: int) -> AbelianGroup:
+    """Additive group of Z[t]/(f, t^n - 1), for n >= 1.
+
+    It is the cokernel of multiplication by f on Z[t]/(t^n - 1), and, when
+    f is monic up to sign, also that of multiplication by t^n - 1 on
+    Z[t]/(f): C^n - I, for C the d x d matrix of t on the basis
+    1, t, ..., t^(d-1), d = deg f.  So:
+
+    - f = c0 + c1 t + c2 t^2 monic up to sign: C is the companion matrix
+      [[0, 1], [-c2 c0, -c2 c1]], and C^n (_power_2x2) and the Smith form
+      (_smith_2x2) come in closed form, at every n;
+    - any other f monic up to sign: row k of C^n is t^(n+k) mod f, from
+      t^n mod f by doubling (_power_mod), and C^n - I goes to
+      smith_normal_form; a unit f gives the 0 x 0 matrix;
+    - the zero f, a non-unit constant or a non-monic f: the sparse n x n
+      circulant (_circulant) goes to smith_normal_form.
+
+    So the monic cases take O(log n) products and build no polynomial of
+    degree n.
     """
-    if not _monic_up_to_sign(g):
-        raise ValueError("the modulus must be monic up to sign")
-    if not (_monic_up_to_sign(f) and f.degree < g.degree):
-        return cokernel(multiplication_matrix(f, g))
-    rows = _multiples(_remainder(g, f), f)
-    if len(rows) == 2:
-        return _group(_smith_2x2(*rows[0], *rows[1]), 2)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not _monic_up_to_sign(f):
+        return cokernel(_circulant(f, n))
+    if f.degree == 2:
+        c0, c1, c2 = f.coeffs
+        a, b, c, d = _power_2x2((0, 1, -c2 * c0, -c2 * c1), n)
+        return _group(_smith_2x2(a - 1, b, c, d - 1), 2)
+    rows = _multiples(_power_mod(n, f), f)
+    for k, row in enumerate(rows):
+        row[k] -= 1
     return cokernel(BigIntMatrix.from_rows(rows, ncols=len(rows)))
 
 

@@ -152,10 +152,29 @@ def takahashi_presentation(n: int, pq: Rational, rs: Rational) -> Presentation:
 
 
 def takahashi_matrix(n: int, pq: Rational, rs: Rational) -> BigIntMatrix:
-    """The 2n x 2n banded relation matrix of the surgery presentation,
-    summed straight from the relator letters without building Words;
-    equal entry for entry to abelianize(takahashi_presentation(n, pq, rs))."""
-    return _exponent_sums(_takahashi_relators(n, pq, rs), 2 * n)
+    """The 2n x 2n banded relation matrix of the surgery presentation.
+
+    It restates the band of the relators: with 0-based indices mod 2n,
+    row 2i is {2i: q, 2i+1: -r, 2i+2: -q} and row 2i+1 is
+    {2i+1: s, 2i+2: p, 2i+3: -s}, built as dicts with no letters summed.
+    Zeros are dropped only when p, q, r or s is 0.  At n = 1 the columns
+    collide, so the letters are summed there.  Equal entry for entry to
+    abelianize(takahashi_presentation(n, pq, rs)), which a test checks.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        return _exponent_sums(_takahashi_relators(1, pq, rs), 2)
+    p, q = pq.num, pq.den
+    r, s = rs.num, rs.den
+    m = 2 * n
+    rows = []
+    for a in range(0, m, 2):
+        b, c, d = a + 1, (a + 2) % m, (a + 3) % m
+        rows += ({a: q, b: -r, c: -q}, {b: s, c: p, d: -s})
+    if not (p and q and r and s):
+        rows = [{g: e for g, e in row.items() if e} for row in rows]
+    return BigIntMatrix(m, m, tuple(rows))
 
 
 def takahashi_blocks(pq: Rational, rs: Rational) -> tuple[BigIntMatrix, BigIntMatrix]:

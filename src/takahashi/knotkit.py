@@ -325,18 +325,20 @@ def alexander_from_braid3(b: BraidWord3) -> AlexanderPoly:
 
 def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     """H_1 of the n-fold cyclic cover of S^3 branched over a knot with
-    Alexander polynomial delta: Z[t]/(delta, 1 + t + ... + t^(n-1))
-    (exactalg.ring_quotient, which the cyclic route also uses).  When delta
-    is monic up to sign and of degree below n - 1, this is the cokernel of
-    multiplication by 1 + ... + t^(n-1) on Z[t]/(delta), a deg delta x
-    deg delta matrix whose first row comes by doubling in O(log n)
+    Alexander polynomial delta: Z[t]/(delta, 1 + t + ... + t^(n-1)).
+
+    That is Z[t]/(delta, t^n - 1) (exactalg.ring_quotient, which the
+    cyclic route also uses).  Since delta(1) = +-1, which AlexanderPoly
+    enforces, delta = delta(1) + (t - 1) h makes t - 1 a unit modulo
+    delta, so the ideals (delta, 1 + ... + t^(n-1)) and
+    (delta, (t - 1)(1 + ... + t^(n-1))) are equal.  A delta monic up to
+    sign takes its deg delta x deg delta matrix C^n - I in O(log n)
     products, with a closed-form Smith form at degree 2 (the trefoil and
-    the figure-eight); otherwise it is the (n - 1) x (n - 1) matrix of
-    multiplication by delta on Z[t]/(1 + ... + t^(n-1)), 0 x 0 at n = 1.
+    the figure-eight); any other delta takes the sparse n x n circulant.
     The order, when finite, independently equals
     |resultant(delta, 1 + ... + t^(n-1))| (see branched_cover_order).
     """
-    return ring_quotient(delta.poly, cyclotomic_quotient(n))
+    return ring_quotient(delta.poly, n)
 
 
 def branched_cover_order(delta: AlexanderPoly, n: int) -> int | None:

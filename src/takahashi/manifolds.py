@@ -107,16 +107,15 @@ def _representer(spec: TakahashiSpec) -> IntPoly:
 
 def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
     """H_1 via the n-generator cyclic presentation: Z[t]/(f, t^n - 1) for
-    the representer polynomial f (exactalg.ring_quotient).  When f is monic
-    up to sign and of degree below n, this is the cokernel of
-    multiplication by t^n - 1 on Z[t]/(f), a deg f x deg f matrix, and
-    t^n mod f comes by doubling in O(log n) products; for n >= 3,
-    f = qs t^2 + (p - 2qs) t + qs, so this holds whenever qs = +-1, as on
-    the unit family, and the 2 x 2 Smith form is taken in closed form.
-    Otherwise it is the n x n circulant of multiplication by f on
-    Z[t]/(t^n - 1), whose row k is f t^k.  Requires r = 1 and agrees with
-    h1_takahashi on the nose."""
-    return ring_quotient(_representer(spec), _t_n_minus_1(spec.n))
+    the representer polynomial f (exactalg.ring_quotient).  For n >= 3,
+    f = qs t^2 + (p - 2qs) t + qs, so whenever qs = +-1, as on the unit
+    family, f is monic up to sign and the group is the cokernel of
+    C^n - I for the 2 x 2 companion matrix C of f, with C^n by doubling in
+    O(log n) products and the Smith form in closed form, at every such n.
+    Any other f but a unit takes the n x n circulant of multiplication by
+    f on Z[t]/(t^n - 1), whose row k is f t^k.  Requires r = 1 and agrees
+    with h1_takahashi on the nose."""
+    return ring_quotient(_representer(spec), spec.n)
 
 
 def branch_knot(q: int, s: int) -> TwoBridge:

@@ -24,7 +24,7 @@ from takahashi.exactalg import (
     smith_normal_form,
     smith_power_2x2,
 )
-from takahashi.exactalg import _power_2x2, _power_and_sum, _remainder, _smith_2x2
+from takahashi.exactalg import _circulant, _power_2x2, _power_mod, _smith_2x2
 
 from oracles import (
     cofactor_det,
@@ -523,59 +523,95 @@ def test_multiplication_matrix_rejects_a_non_unit_leading_coefficient():
 
 
 def test_ring_quotient_either_side():
-    # Z[t]/(f, g) from f on Z[t]/(g) and, when f is monic up to sign too,
-    # from g on Z[t]/(f); zero, unit, equal-degree and higher-degree f
-    # included
+    # Z[t]/(f, t^n - 1) from f on Z[t]/(t^n - 1) and, when f is monic up
+    # to sign, from t^n - 1 on Z[t]/(f); zero, unit, equal-degree and
+    # higher-degree f included
     rng = random.Random(1717)
-
-    def rand_poly(lead):
-        return IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))) + (lead,))
-
-    # the two moduli that _remainder recognises, and others that differ
-    # from them in one coefficient or in sign, which take long division
-    moduli = [rand_poly(rng.choice((1, -1))) for _ in range(300)]
     for n in range(1, 41):
-        ones = (1,) * n
-        moduli += [t_n_minus_1(n), cyclotomic_quotient(n), IntPoly((1,) + (0,) * (n - 1) + (1,)),
-                   IntPoly((1,) + (0,) * (n - 1) + (-1,)), IntPoly(ones[:-1] + (2, 1)),
-                   IntPoly((-1,) + (0,) * (n - 1) + (-1, 1)), IntPoly(tuple(-c for c in ones))]
-    for g in moduli:
-        f = rand_poly(rng.choice((1, -1, 1, -1, 2, -3, 0)))
-        group = ring_quotient(f, g)
-        assert type(group.free_rank) is int
-        assert group == cokernel(multiplication_matrix(f, g)), (f, g)
-        if not f.is_zero and f.coeffs[-1] in (1, -1):
-            assert group == cokernel(multiplication_matrix(g, f)), (f, g)
+        g = t_n_minus_1(n)
+        for _ in range(15):
+            lead = rng.choice((1, -1, 1, -1, 2, -3, 0))
+            f = IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))) + (lead,))
+            group = ring_quotient(f, n)
+            assert type(group.free_rank) is int
+            assert group == cokernel(multiplication_matrix(f, g)), (f, n)
+            if not f.is_zero and f.coeffs[-1] in (1, -1):
+                assert group == cokernel(multiplication_matrix(g, f)), (f, n)
     # (t - 1)^2 divides both sides at once: Z/n + Z, det = 0 with d1 = n
     for n in range(3, 9):
-        group = ring_quotient(IntPoly((1, -2, 1)), t_n_minus_1(n))
+        group = ring_quotient(IntPoly((1, -2, 1)), n)
         assert group == AbelianGroup((n,), 1) and type(group.free_rank) is int
-    assert ring_quotient(IntPoly((-1,)), t_n_minus_1(5)) == AbelianGroup()
-    assert ring_quotient(IntPoly(()), t_n_minus_1(3)) == AbelianGroup((), 3)
-    for g in (IntPoly(()), IntPoly((1, 2)), IntPoly((1, 0, -2))):
+    assert ring_quotient(IntPoly((-1,)), 5) == AbelianGroup()
+    assert ring_quotient(IntPoly(()), 3) == AbelianGroup((), 3)
+    assert ring_quotient(IntPoly((6,)), 4) == AbelianGroup((6,) * 4)
+    for n in (0, -1):
         with pytest.raises(ValueError):
-            ring_quotient(IntPoly((1, 1)), g)
+            ring_quotient(IntPoly((1, -1, 1)), n)
+
+
+def _seeded_polys(rng):
+    """Quadratics monic up to sign (half of them, palindromic or not),
+    monic polynomials of degree 0, 1, 3 and 4, non-monic ones of degree
+    1 to 4, and the zero polynomial."""
+    kind = rng.random()
+    if kind < 0.5:
+        c0, c1 = rng.randint(-9, 9), rng.randint(-9, 9)
+        if kind < 0.1:
+            c0 = rng.choice((1, -1))  # palindromic up to sign
+        return IntPoly((c0, c1, rng.choice((1, -1))))
+    if kind < 0.75:
+        d = rng.choice((0, 1, 3, 4))
+        return IntPoly(tuple(rng.randint(-5, 5) for _ in range(d)) + (rng.choice((1, -1)),))
+    if kind < 0.98:
+        d = rng.randint(1, 4)
+        lead = rng.choice((2, -2, 3, -5, 12))
+        return IntPoly(tuple(rng.randint(-5, 5) for _ in range(d)) + (lead,))
+    return rng.choice((IntPoly(()), IntPoly((rng.randint(2, 9),))))
+
+
+def test_ring_quotient_matches_the_circulant_on_seeded_polynomials():
+    # 20,000 (f, n) with n = 1..60: every route of ring_quotient against the
+    # Smith form of the n x n circulant multiplication_matrix(f, t^n - 1),
+    # which the non-monic route builds sparse, entry for entry
+    rng = random.Random(2323)
+    moduli = {n: t_n_minus_1(n) for n in range(1, 61)}
+    seen = set()
+    for _ in range(20_000):
+        f, n = _seeded_polys(rng), rng.randint(1, 60)
+        circulant = multiplication_matrix(f, moduli[n])
+        assert ring_quotient(f, n) == cokernel(circulant), (f, n)
+        monic = not f.is_zero and f.coeffs[-1] in (1, -1)
+        if not monic:
+            assert _circulant(f, n) == circulant, (f, n)
+        seen.add((len(f.coeffs), monic, f.coeffs == f.coeffs[::-1]))
+    # (number of coefficients, monic up to sign): every degree 0-4 monic,
+    # and the zero polynomial, non-unit constants and degrees 1-4 not
+    assert {(k, m) for k, m, _ in seen} == {(k, True) for k in range(1, 6)} | {
+        (k, False) for k in range(6)}
+    assert (3, True, True) in seen and (3, True, False) in seen
 
 
 def test_doubling_remainders_match_long_division():
-    # t^m mod f and 1 + ... + t^(m-1) mod f by doubling, and _remainder of
-    # the two recognised moduli, against long division; f monic up to
-    # sign of degree 1-4, m = 0..300, so m <= deg f is included
+    # t^m mod f by doubling against long division, for f monic up to sign
+    # of degree 0-4 and m = 0..300, so m <= deg f is included; for the
+    # quadratics also the companion power C^m, whose rows are t^m mod f
+    # and t^(m+1) mod f
     rng = random.Random(1919)
-    for _ in range(60):
-        d = rng.randint(1, 4)
+    quadratics = 0
+    for _ in range(80):
+        d = rng.choice((0, 1, 2, 2, 3, 4))
         f = IntPoly(tuple(rng.randint(-6, 6) for _ in range(d)) + (rng.choice((1, -1)),))
+        c = f.coeffs
         for m in [0, 1, 2, 3, 4, 5] + rng.sample(range(6, 301), 12):
-            p, s = _power_and_sum(m, f)
-            for got, g in ((p, IntPoly((0,) * m + (1,))), (s, IntPoly((1,) * m))):
-                rem = list(poly_divmod(g, f)[1].coeffs)
-                assert got == rem + [0] * (d - len(rem)), (f, m, g)
-            if m:
-                for g in (t_n_minus_1(m), cyclotomic_quotient(m)):
-                    rem = list(poly_divmod(g, f)[1].coeffs)
-                    assert _remainder(g, f) == rem + [0] * (d - len(rem)), (f, g)
-    # a unit modulus leaves nothing
-    assert _remainder(t_n_minus_1(7), IntPoly((-1,))) == []
+            rems = []
+            for k in (m, m + 1):
+                rem = list(poly_divmod(IntPoly((0,) * k + (1,)), f)[1].coeffs)
+                rems += rem + [0] * (d - len(rem))
+            assert _power_mod(m, f) == rems[:d], (f, m)
+            if d == 2:
+                assert _power_2x2((0, 1, -c[2] * c[0], -c[2] * c[1]), m) == tuple(rems), (f, m)
+        quadratics += d == 2
+    assert quadratics >= 20
 
 
 def test_smith_2x2_closed_form_matches_gcd_pivot_oracle():
@@ -739,8 +775,25 @@ def test_abelian_group_validation():
         AbelianGroup((), -1)
 
 
+def test_abelian_group_order_is_the_product_of_the_chain():
+    # the order takes one power per run of equal factors; seeded chains
+    # with long runs and with none, against the plain product
+    rng = random.Random(6161)
+    for _ in range(200):
+        chain, d = [], rng.randint(2, 6)
+        for _ in range(rng.randint(0, 12)):
+            chain += [d] * rng.choice((1, 1, 2, rng.randint(3, 60)))
+            d *= rng.choice((2, 3, 5, 7, 10**20 + 39))
+        group = AbelianGroup(tuple(chain))
+        assert group.order() == math.prod(chain)
+        assert AbelianGroup(tuple(chain), rng.randint(1, 3)).order() is None
+    assert AbelianGroup((6,) * 99_999 + (18,)).order() == 6**99_999 * 18
+    assert AbelianGroup(()).order() == 1
+
+
 def test_abelian_group_order_and_str():
     assert AbelianGroup().order() == 1
+    assert AbelianGroup((), 3).order() is None
     assert AbelianGroup((3, 12)).order() == 36
     assert AbelianGroup((2,), 1).order() is None
     assert str(AbelianGroup()) == "trivial"

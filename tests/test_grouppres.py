@@ -170,6 +170,25 @@ def test_takahashi_matrix_stores_only_the_band():
     assert sum(len(row) for row in m.entries) == 6 * n
 
 
+def test_takahashi_matrix_restates_the_band():
+    # rows 2i and 2i+1 as written out, at n = 1 (columns collide and are
+    # summed), n = 2 and n = 3, and with zero and infinite coefficients,
+    # whose zeros are dropped
+    a, b = Rational(3, 2), Rational(-5, 7)
+    assert takahashi_matrix(1, a, b).to_lists() == [[0, 5], [3, 0]]
+    assert takahashi_matrix(1, a, b).entries == ({1: 5}, {0: 3})
+    assert takahashi_matrix(2, a, b).to_lists() == [
+        [2, 5, -2, 0], [0, 7, 3, -7], [-2, 0, 2, 5], [3, -7, 0, 7]]
+    assert takahashi_matrix(3, Rational(0, 1), Rational(1, 0)).entries == (
+        {0: 1, 1: -1, 2: -1}, {}, {2: 1, 3: -1, 4: -1}, {}, {4: 1, 5: -1, 0: -1}, {})
+    assert takahashi_matrix(2, Rational(1, 0), Rational(0, 1)).entries == (
+        {}, {1: 1, 2: 1, 3: -1}, {}, {3: 1, 0: 1, 1: -1})
+    assert takahashi_matrix(1, Rational(0, 1), Rational(1, 0)).entries == ({1: -1}, {})
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError):
+            takahashi_matrix(n, a, b)
+
+
 def test_takahashi_drops_zero_exponent_letters():
     p = takahashi_presentation(2, Rational(1, 0), Rational(1, 1))
     for r in p.relators:

@@ -31,7 +31,7 @@ from takahashi.knotkit import (
     two_bridge_equivalent,
     two_bridge_presentation,
 )
-from takahashi.manifolds import h1_cyclic_route
+from takahashi.manifolds import branch_knot, h1_cyclic_route
 
 from oracles import cover_matrix_by_division, nontrivial_unity_root_abs_product
 
@@ -417,3 +417,21 @@ def test_small_side_routes_match_n_by_n_matrices():
         for n in ns:
             m = multiplication_matrix(delta.poly, cyclotomic_quotient(n))
             assert branched_cover_homology(delta, n) == cokernel(m), (k, n)
+
+
+def test_cover_route_is_the_cyclotomic_quotient():
+    # Z[t]/(Delta, t^n - 1), which the route reduces, against
+    # Z[t]/(Delta, 1 + ... + t^(n-1)) as the (n - 1)-square matrix of Delta,
+    # at n = 1..40: every branching knot b(|4sq - 1|, 2s) with |q|, |s| <= 6,
+    # whose Delta is sq t^2 - (2sq - 1) t + sq up to units, monic only at
+    # sq = +-1, and the 3-braid closures above
+    deltas = [alexander_from_braid3(BraidWord3(letters)) for letters in (
+        (1, 1, 1, 2), (1, -2, 1, -2), (1, 1, 1, 1, 1, 2), (1, 2), (1, 1, 1, -2, -2, -2) * 2)]
+    deltas += [alexander_two_bridge(branch_knot(q, s))
+               for q in range(-6, 7) for s in range(-6, 7) if q and s]
+    assert len(deltas) == 5 + 144
+    assert sum(d.poly.coeffs[-1] not in (1, -1) for d in deltas) > 100
+    for delta in deltas:
+        for n in range(1, 41):
+            m = multiplication_matrix(delta.poly, cyclotomic_quotient(n))
+            assert branched_cover_homology(delta, n) == cokernel(m), (delta, n)

@@ -153,7 +153,7 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
     # the matrices each route of M_n(+-1, +-1) hands to the Smith form or
     # to the closed 2 x 2 form, and the n-square circulant and (n - 1)-square
     # cover matrices built explicitly, since the routes reduce the degree-2
-    # side from n = 3 on; all against the plain reduction
+    # side; all against the plain reduction
     from takahashi import exactalg
 
     real, real_2x2 = exactalg.smith_normal_form, exactalg._smith_2x2
@@ -185,13 +185,15 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
                 cokernel(multiplication_matrix(rep, t_n_minus_1(n)))
                 cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
     # five reductions per spec, three routes and two explicit matrices.  The
-    # cyclic route takes the closed 2 x 2 form once the degree-2 representer
-    # is the smaller side, n >= 3 (38 n), and the cover route once the
-    # degree-2 Alexander polynomial is, n >= 4 (37 n); the other 40 * 4 * 5 -
-    # 4 * (38 + 37) reductions are Smith forms.  The 1-fold cover (S^3)
-    # reduces a 0 x 0 matrix either way
-    assert len(checked_2x2) == 4 * (38 + 37)
-    assert len(checked) == 40 * 4 * 5 - 4 * (38 + 37)
+    # cover route takes the closed 2 x 2 form at every n, since the
+    # Alexander polynomial is a monic quadratic (40 n), and the cyclic route
+    # once the representer is one, n >= 3 (38 n); at n = 2 the representer
+    # is linear with leading coefficient +-2, so the route takes the 2 x 2
+    # circulant, and at n = 1 it is the unit 1, whose 0 x 0 matrix is
+    # reduced.  The other 40 * 4 * 5 - 4 * (40 + 38) reductions are Smith
+    # forms
+    assert len(checked_2x2) == 4 * (40 + 38)
+    assert len(checked) == 40 * 4 * 5 - 4 * (40 + 38)
 
 
 def test_homology_routes_build_no_words(monkeypatch):
