@@ -11,15 +11,13 @@ lets each step visit only the rows and entries it can change; on the
 banded surgery matrix the fill stays in the band and the wrap-around rows
 and columns.  Resultants build no matrix: they run the subresultant
 remainder sequence.  One 2 x 2 kernel serves every n: M^n by doubling
-(_power_2x2) and the closed-form Smith factors of a 2 x 2 matrix
-(_smith_2x2).  It gives Z[t]/(f, t^n - 1), the one large modulus, taken
-by its n (ring_quotient), as C^n - I for f quadratic and monic up to sign
-with companion matrix C, and the surgery homology as the factors of
-M^n - u^n I off the primes of u (smith_power_2x2, prime_part).  For other
-monic f, t^n mod f comes by doubling too, and Res(t^n - 1, f) of a
-quadratic f by a Lucas sequence (lucas_resultant), each in O(log n)
-products.  `determinant`, Bareiss' exact-division elimination of a whole
-matrix, has no caller in the library.
+(_power_2x2) and the Smith factors of M^n - u^n I off the primes of u,
+for det M = u^2 (smith_power_2x2, prime_part).  It gives the surgery
+homology and Z[t]/(f, t^n - 1), taken by its n (ring_quotient), of a
+palindromic quadratic f (palindromic_quotient).  For other monic f, t^n
+mod f comes by doubling, and Res(t^n - 1, f) of a quadratic f by a Lucas
+sequence (lucas_resultant), each in O(log n) products.  `determinant`,
+Bareiss' exact-division elimination, has no caller in the library.
 Every operation is a pure function, and the values are frozen dataclasses.
 A matrix's rows are read-only by contract and the reductions copy them
 before they write; since the rows are dicts, a BigIntMatrix is not
@@ -49,6 +47,7 @@ __all__ = [
     "ring_quotient",
     "prime_part",
     "smith_power_2x2",
+    "palindromic_quotient",
     "lucas_resultant",
     "normalize_up_to_units",
     "poly_divmod",
@@ -712,15 +711,6 @@ def _power_mod(m: int, f: IntPoly) -> list[int]:
     return p
 
 
-def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Invariant factors of [[a, b], [c, d]] in closed form: d1 = gcd of
-    the four entries and d2 = |ad - bc| / d1, or (0, 0) for the zero
-    matrix.  No Euclid loop runs on the entries, which on the unit family
-    are Fibonacci-sized."""
-    d1 = math.gcd(a, b, c, d)
-    return d1, abs(a * d - b * c) // d1 if d1 else 0
-
-
 def _power_2x2(m: tuple[int, int, int, int], n: int) -> tuple[int, int, int, int]:
     """M^n for n >= 0, with M = [[a, b], [c, d]] given as (a, b, c, d), by
     binary powering from the top bit: a squaring takes five products and
@@ -753,11 +743,10 @@ def smith_power_2x2(m: tuple[int, int, int, int], u: int, n: int) -> tuple[int, 
     removed, for M = [[a, b], [c, d]] given as (a, b, c, d) with
     det M = u^2 != 0; a zero factor stays 0.
 
-    This is the closed form of _smith_2x2, d1 = gcd of the entries and
-    d2 = |det| / d1, with the determinant known: det M^n = u^(2n), so
-    det(M^n - u^n I) = u^n (2 u^n - tr M^n).  Off the primes of u, d2 is
-    then |2 u^n - tr M^n| / d1, and prime_part never climbs through the
-    factor |u|^n that |det| carries.  M^n comes in O(log n) products.
+    A 2 x 2 matrix has d1 = gcd of the entries and d2 = |det| / d1, and
+    det(M^n - u^n I) = u^n (2 u^n - tr M^n) since det M^n = u^(2n); so off
+    the primes of u, d2 = |2 u^n - tr M^n| / d1, and prime_part never meets
+    |u|^n.  No Euclid loop runs on the entries; M^n takes O(log n) products.
     """
     a, b, c, d = _power_2x2(m, n)
     un = u**n
@@ -767,6 +756,25 @@ def smith_power_2x2(m: tuple[int, int, int, int], u: int, n: int) -> tuple[int, 
     d1 //= prime_part(d1, u)
     gap = 2 * un - a - d
     return d1, gap and abs(gap) // prime_part(gap, u) // d1
+
+
+def palindromic_quotient(x: int, y: int, n: int) -> tuple[int, tuple[int, int]]:
+    """Z[t]/(x t^2 + y t + x, t^n - 1), x != 0 and n >= 1, as (c, (d1, d2)):
+    the chain (Z/c)^max(n - 2, 0) + Z/d1 + Z/d2, a zero factor a Z summand.
+
+    With c = gcd(x, y), multiplication by f = x t^2 + y t + x is c times
+    that by f1 = f / c = a t^2 + b t + a.  At a prime of a, f1 = bt is a
+    unit.  Elsewhere Z[t]/(f1) is free of rank 2, with t acting as K/a,
+    K = [[0, -a], [a, -b]], det K = a^2; so f1 has the factors 1, n - 2
+    times, and those of K^n - a^n I off the primes of a.  At n = 1 the
+    group is Z/|2x + y|, where the form above would keep a factor c.
+    """
+    c = math.gcd(x, y)
+    if n == 1:
+        return c, (1, abs(2 * x + y))
+    a = x // c
+    e1, e2 = smith_power_2x2((0, -a, a, -y // c), a, n)
+    return c, (c * e1, c * e2)
 
 
 def lucas_resultant(a: int, b: int, c: int, n: int) -> int:
@@ -811,26 +819,25 @@ def ring_quotient(f: IntPoly, n: int) -> AbelianGroup:
     Z[t]/(f): C^n - I, for C the d x d matrix of t on the basis
     1, t, ..., t^(d-1), d = deg f.  So:
 
-    - f = c0 + c1 t + c2 t^2 monic up to sign: C is the companion matrix
-      [[0, 1], [-c2 c0, -c2 c1]], and C^n (_power_2x2) and the Smith form
-      (_smith_2x2) come in closed form, at every n;
+    - f = x t^2 + y t + x, at any x: palindromic_quotient, from a 2 x 2
+      power, whose n - 2 equal factors are built only when they exceed 1;
     - any other f monic up to sign: row k of C^n is t^(n+k) mod f, from
       t^n mod f by doubling (_power_mod), and C^n - I goes to
       smith_normal_form; a unit f gives the 0 x 0 matrix;
-    - the zero f, a non-unit constant or a non-monic f: the sparse n x n
-      circulant (_circulant) goes to smith_normal_form.
+    - the zero f, a non-unit constant or any other non-monic f: the sparse
+      n x n circulant (_circulant) goes to smith_normal_form.
 
-    So the monic cases take O(log n) products and build no polynomial of
-    degree n.
+    So the first two cases take O(log n) products and build no polynomial
+    of degree n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if len(f.coeffs) == 3 and f.coeffs[0] == f.coeffs[2]:
+        c, pair = palindromic_quotient(*f.coeffs[:2], n)
+        factors = ((c,) * (n - 2) if c > 1 else ()) + pair
+        return _group(factors, len(factors))
     if not _monic_up_to_sign(f):
         return cokernel(_circulant(f, n))
-    if f.degree == 2:
-        c0, c1, c2 = f.coeffs
-        a, b, c, d = _power_2x2((0, 1, -c2 * c0, -c2 * c1), n)
-        return _group(_smith_2x2(a - 1, b, c, d - 1), 2)
     rows = _multiples(_power_mod(n, f), f)
     for k, row in enumerate(rows):
         row[k] -= 1

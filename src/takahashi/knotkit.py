@@ -331,10 +331,10 @@ def branched_cover_homology(delta: AlexanderPoly, n: int) -> AbelianGroup:
     cyclic route also uses).  Since delta(1) = +-1, which AlexanderPoly
     enforces, delta = delta(1) + (t - 1) h makes t - 1 a unit modulo
     delta, so the ideals (delta, 1 + ... + t^(n-1)) and
-    (delta, (t - 1)(1 + ... + t^(n-1))) are equal.  A delta monic up to
-    sign takes its deg delta x deg delta matrix C^n - I in O(log n)
-    products, with a closed-form Smith form at degree 2 (the trefoil and
-    the figure-eight); any other delta takes the sparse n x n circulant.
+    (delta, (t - 1)(1 + ... + t^(n-1))) are equal.  Every genus-one delta,
+    a t^2 + b t + a, takes a closed form from a 2 x 2 power, and any other
+    delta monic up to sign its deg delta x deg delta matrix, in O(log n)
+    products; the rest take the sparse n x n circulant.
     The order, when finite, independently equals
     |resultant(delta, 1 + ... + t^(n-1))| (see branched_cover_order).
     """

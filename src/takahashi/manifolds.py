@@ -19,6 +19,7 @@ from .exactalg import (
     cokernel,
     determinant,  # unused here; perfbench's binding test reads manifolds.determinant
     lucas_resultant,
+    palindromic_quotient,
     prime_part,
     resultant,
     ring_quotient,
@@ -108,13 +109,12 @@ def _representer(spec: TakahashiSpec) -> IntPoly:
 def h1_cyclic_route(spec: TakahashiSpec) -> AbelianGroup:
     """H_1 via the n-generator cyclic presentation: Z[t]/(f, t^n - 1) for
     the representer polynomial f (exactalg.ring_quotient).  For n >= 3,
-    f = qs t^2 + (p - 2qs) t + qs, so whenever qs = +-1, as on the unit
-    family, f is monic up to sign and the group is the cokernel of
-    C^n - I for the 2 x 2 companion matrix C of f, with C^n by doubling in
-    O(log n) products and the Smith form in closed form, at every such n.
-    Any other f but a unit takes the n x n circulant of multiplication by
-    f on Z[t]/(t^n - 1), whose row k is f t^k.  Requires r = 1 and agrees
-    with h1_takahashi on the nose."""
+    f = qs t^2 + (p - 2qs) t + qs is palindromic, so the group comes from
+    a 2 x 2 power in O(log n) products at every qs
+    (exactalg.palindromic_quotient, which h1_transfer shares); it is
+    checked against routes that do not use it: h1_takahashi, the
+    resultant routes and the tests' plain multiplication_matrix.
+    Requires r = 1 and agrees with h1_takahashi on the nose."""
     return ring_quotient(_representer(spec), spec.n)
 
 
@@ -183,17 +183,15 @@ def h1_transfer(spec: TakahashiSpec) -> AbelianGroup:
       T = [[qs, -rs], [pq, qs - pr]] (exactalg.smith_power_2x2, which
       removes the primes of qs).
     - At a prime of qs, which divides at most one of p and r, pt or -r is
-      a unit and the part is that of Z[t]/(f, t^n - 1).  Write f = c f1
-      with c = gcd(qs, pr) and f1 = a t^2 + b t + a, a = qs / c.  Its n
-      factors are c, n - 2 times, then c e1 and c e2, where (e1, e2) are
-      the factors of K^n - a^n I, K = [[0, -a], [a, -b]], off the primes
-      of a and on those of c: at a prime of a, f1 = bt is a unit.  At
-      n = 1 this part is that of |pr| on the primes of qs.
+      a unit and the part is that of Z[t]/(f, t^n - 1)
+      (exactalg.palindromic_quotient, which h1_cyclic_route also uses).
+      When c = gcd(qs, pr) is 1 that part is trivial, since f is pr t, a
+      unit, modulo every prime of qs, and no power is taken.
 
     The two parts multiply index-wise, aligned at the end; a zero factor
     is a Z summand.  Before it returns, the order (0 when infinite) is
     checked against |takahashi_determinant|; a mismatch raises
-    AssertionError.  h1_takahashi reduces the surgery matrix instead.
+    AssertionError.  h1_takahashi and the resultant routes avoid the helper.
     """
     n, p, q, r, s = spec.n, spec.pq.num, spec.pq.den, spec.rs.num, spec.rs.den
     qs, pr = q * s, p * r
@@ -203,16 +201,10 @@ def h1_transfer(spec: TakahashiSpec) -> AbelianGroup:
         c, tail = abs(pr), []
     else:
         c = math.gcd(qs, pr)
-        if n == 1:
-            e = [1, prime_part(pr, qs)]
-        elif c == 1:
-            # no prime of qs divides f's content, so this part is trivial;
-            # a Z summand shows in the other part as well
-            e = [1, 1]
-        else:
-            a = qs // c
-            e = [c * prime_part(x, c) for x in smith_power_2x2((0, -a, a, 2 * a - pr // c), a, n)]
-        tail = [x * y for x, y in zip(e, smith_power_2x2((qs, -r * s, p * q, qs - pr), qs, n))]
+        # a Z summand of the trivial c = 1 part shows in the other part too
+        e = palindromic_quotient(qs, pr - 2 * qs, n)[1] if c > 1 else (1, 1)
+        off_qs = smith_power_2x2((qs, -r * s, p * q, qs - pr), qs, n)
+        tail = [prime_part(x, qs) * y for x, y in zip(e, off_qs)]
     k = max(n - len(tail), 0)
     if c**k * math.prod(tail) != abs(takahashi_determinant(spec)):
         raise AssertionError(f"the order of H_1({spec}) from 2 x 2 powers is not |det|")

@@ -17,6 +17,7 @@ from takahashi.exactalg import (
     lucas_resultant,
     multiplication_matrix,
     normalize_up_to_units,
+    palindromic_quotient,
     poly_divmod,
     prime_part,
     resultant,
@@ -24,7 +25,7 @@ from takahashi.exactalg import (
     smith_normal_form,
     smith_power_2x2,
 )
-from takahashi.exactalg import _circulant, _power_2x2, _power_mod, _smith_2x2
+from takahashi.exactalg import _circulant, _power_2x2, _power_mod
 
 from oracles import (
     cofactor_det,
@@ -549,16 +550,36 @@ def test_ring_quotient_either_side():
             ring_quotient(IntPoly((1, -1, 1)), n)
 
 
+def test_palindromic_quotient_at_n_one_and_at_a_double_root():
+    # at n = 1 the group is Z/|2x + y|: x = y = 2 gives Z/6, where the
+    # form for n >= 2 would give Z/2 + Z/6
+    assert palindromic_quotient(2, 2, 1) == (2, (1, 6))
+    assert ring_quotient(IntPoly((2, 2, 2)), 1) == AbelianGroup((6,))
+    # 2x + y = 0: f = x (t - 1)^2, so Z/|x| n - 2 times, Z/(|x| n) and Z
+    for x in (1, -1, 3, -4):
+        for n in range(2, 9):
+            assert palindromic_quotient(x, -2 * x, n) == (abs(x), (abs(x) * n, 0)), (x, n)
+            expected = AbelianGroup((abs(x),) * (n - 2) + (abs(x) * n,) if abs(x) > 1 else (n,), 1)
+            assert ring_quotient(IntPoly((x, -2 * x, x)), n) == expected, (x, n)
+
+
 def _seeded_polys(rng):
-    """Quadratics monic up to sign (half of them, palindromic or not),
-    monic polynomials of degree 0, 1, 3 and 4, non-monic ones of degree
-    1 to 4, and the zero polynomial."""
+    """Quadratics monic up to sign (palindromic or not), palindromic
+    quadratics x t^2 + y t + x with |x| > 1 (negative x, content > 1 and
+    2x + y = 0, a Z summand, among them), monic polynomials of degree 0,
+    1, 3 and 4, non-monic ones of degree 1 to 4, and the zero
+    polynomial."""
     kind = rng.random()
-    if kind < 0.5:
+    if kind < 0.4:
         c0, c1 = rng.randint(-9, 9), rng.randint(-9, 9)
-        if kind < 0.1:
+        if kind < 0.08:
             c0 = rng.choice((1, -1))  # palindromic up to sign
         return IntPoly((c0, c1, rng.choice((1, -1))))
+    if kind < 0.55:
+        x = rng.choice((1, -1)) * rng.randint(2, 12)
+        y = -2 * x if rng.random() < 0.1 else rng.randint(-20, 20)
+        k = rng.choice((1, 1, 2, 3))
+        return IntPoly((k * x, k * y, k * x))
     if kind < 0.75:
         d = rng.choice((0, 1, 3, 4))
         return IntPoly(tuple(rng.randint(-5, 5) for _ in range(d)) + (rng.choice((1, -1)),))
@@ -575,7 +596,7 @@ def test_ring_quotient_matches_the_circulant_on_seeded_polynomials():
     # which the non-monic route builds sparse, entry for entry
     rng = random.Random(2323)
     moduli = {n: t_n_minus_1(n) for n in range(1, 61)}
-    seen = set()
+    seen, palindromic = set(), set()
     for _ in range(20_000):
         f, n = _seeded_polys(rng), rng.randint(1, 60)
         circulant = multiplication_matrix(f, moduli[n])
@@ -584,11 +605,19 @@ def test_ring_quotient_matches_the_circulant_on_seeded_polynomials():
         if not monic:
             assert _circulant(f, n) == circulant, (f, n)
         seen.add((len(f.coeffs), monic, f.coeffs == f.coeffs[::-1]))
+        if len(f.coeffs) == 3 and f.coeffs[0] == f.coeffs[2] and not monic:
+            x, y, _ = f.coeffs
+            palindromic.update({"x < 0"} if x < 0 else set())
+            palindromic.update({"content > 1"} if math.gcd(x, y) > 1 else set())
+            palindromic.update({"2x + y = 0"} if 2 * x + y == 0 else set())
+            palindromic.add(f"n = {min(n, 3)}")
     # (number of coefficients, monic up to sign): every degree 0-4 monic,
     # and the zero polynomial, non-unit constants and degrees 1-4 not
     assert {(k, m) for k, m, _ in seen} == {(k, True) for k in range(1, 6)} | {
         (k, False) for k in range(6)}
     assert (3, True, True) in seen and (3, True, False) in seen
+    # palindromic quadratics with |x| > 1, at n = 1, 2 and beyond
+    assert palindromic == {"x < 0", "content > 1", "2x + y = 0", "n = 1", "n = 2", "n = 3"}
 
 
 def test_doubling_remainders_match_long_division():
@@ -612,24 +641,6 @@ def test_doubling_remainders_match_long_division():
                 assert _power_2x2((0, 1, -c[2] * c[0], -c[2] * c[1]), m) == tuple(rems), (f, m)
         quadratics += d == 2
     assert quadratics >= 20
-
-
-def test_smith_2x2_closed_form_matches_gcd_pivot_oracle():
-    rng = random.Random(2222)
-    big = 2**200
-    cases = [(0, 0, 0, 0), (0, 0, 0, 5), (3, 6, -2, -4), (0, 7, 0, 0), (-4, 6, 6, -9), (1, 0, 0, 1),
-             (big, big, big, big), (2 * big, 0, 0, 0)]
-    for _ in range(400):
-        bound = rng.choice((1, 5, 100, 2**200))
-        a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
-        cases.append((a, b, c, d))
-        k, l = rng.randint(-bound, bound), rng.randint(-6, 6)
-        cases.append((a, b, l * a, l * b))  # rank at most 1
-        cases.append((k * a, k * b, a, b))
-    for a, b, c, d in cases:
-        factors = _smith_2x2(a, b, c, d)
-        assert factors == gcd_pivot_snf([[a, b], [c, d]], 2), (a, b, c, d)
-        assert factors == smith_normal_form(BigIntMatrix.from_rows([[a, b], [c, d]])).invariant_factors
 
 
 def test_power_2x2_matches_repeated_products():
@@ -661,10 +672,10 @@ def test_prime_part_matches_the_factored_form():
 
 
 def test_smith_power_2x2_matches_gcd_pivot_oracle():
-    # the two matrices of manifolds.h1_transfer, T = [[qs, -rs], [pq, qs - pr]]
-    # with u = qs and K = [[0, -a], [a, -b]] with u = a, both of determinant
-    # u^2; the oracle's factors of M^n - u^n I lose the primes of u by trial
-    # division
+    # the two matrices of the transfer route, T = [[qs, -rs], [pq, qs - pr]]
+    # with u = qs (manifolds.h1_transfer) and K = [[0, -a], [a, -b]] with
+    # u = a (palindromic_quotient), both of determinant u^2; the oracle's
+    # factors of M^n - u^n I lose the primes of u by trial division
     rng = random.Random(5252)
     for _ in range(400):
         p, q, r, s = (rng.choice((1, -1)) * rng.choice(SMALL_PRIMES + (1, 4, 6, 9))

@@ -398,9 +398,21 @@ def test_cover_order_trefoil_large_n():
         assert branched_cover_homology(delta, n) == groups[n % 6]
 
 
+@pytest.mark.parametrize("q, s", [(1, 2), (2, 3), (-3, 2)])
+def test_non_monic_genus_one_covers_at_large_n(q, s):
+    # Delta = sq t^2 - (2sq - 1) t + sq with |sq| = 2 or 6, not monic; the
+    # resultant route shares no code with the cover route
+    delta = alexander_two_bridge(branch_knot(q, s))
+    assert delta.poly.coeffs[-1] not in (1, -1)
+    for n in range(2000, 2004):
+        order = branched_cover_homology(delta, n).order()
+        assert order is not None and order == branched_cover_order(delta, n), (q, s, n)
+
+
 def test_small_side_routes_match_n_by_n_matrices():
-    # the routes reduce the degree-2 side when it is monic up to sign; the
-    # n x n matrices of the degree-n side give the same groups
+    # the routes reduce the degree-2 side when it is a palindromic quadratic
+    # or monic up to sign; the n x n matrices of the degree-n side give the
+    # same groups
     for spec in grid_specs(3, range(1, 13)):
         if spec.rs.num != 1:
             continue

@@ -151,13 +151,13 @@ def test_cyclic_route_matches_abelianized_cyclic_presentation():
 
 def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
     # the matrices each route of M_n(+-1, +-1) hands to the Smith form or
-    # to the closed 2 x 2 form, and the n-square circulant and (n - 1)-square
-    # cover matrices built explicitly, since the routes reduce the degree-2
-    # side; all against the plain reduction
+    # to the closed form of M^n - u^n I, and the n-square circulant and
+    # (n - 1)-square cover matrices built explicitly, since the routes
+    # reduce the degree-2 side; all against the plain reduction
     from takahashi import exactalg
 
-    real, real_2x2 = exactalg.smith_normal_form, exactalg._smith_2x2
-    checked, checked_2x2 = [], []
+    real, real_power = exactalg.smith_normal_form, exactalg.smith_power_2x2
+    checked, checked_power = [], []
 
     def checking(m):
         snf = real(m)
@@ -165,14 +165,17 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
         checked.append(m)
         return snf
 
-    def checking_2x2(a, b, c, d):
-        factors = real_2x2(a, b, c, d)
-        assert factors == gcd_pivot_snf([[a, b], [c, d]], 2), (a, b, c, d)
-        checked_2x2.append((a, b, c, d))
+    def checking_power(m, u, n):
+        # u = +-1 on the unit family, so no prime is removed
+        factors = real_power(m, u, n)
+        a, b, c, d = exactalg._power_2x2(m, n)
+        assert u in (1, -1), (m, u, n)
+        assert factors == gcd_pivot_snf([[a - u**n, b], [c, d - u**n]], 2), (m, u, n)
+        checked_power.append((m, u, n))
         return factors
 
     monkeypatch.setattr(exactalg, "smith_normal_form", checking)
-    monkeypatch.setattr(exactalg, "_smith_2x2", checking_2x2)
+    monkeypatch.setattr(exactalg, "smith_power_2x2", checking_power)
     for n in range(1, 41):
         for a in (1, -1):
             for b in (1, -1):
@@ -184,16 +187,17 @@ def test_unit_family_smith_forms_match_gcd_pivot_oracle(monkeypatch):
                 rep = representer_polynomial(n, spec.pq.num, spec.pq.den, spec.rs.den)
                 cokernel(multiplication_matrix(rep, t_n_minus_1(n)))
                 cokernel(multiplication_matrix(delta.poly, cyclotomic_quotient(n)))
-    # five reductions per spec, three routes and two explicit matrices.  The
-    # cover route takes the closed 2 x 2 form at every n, since the
-    # Alexander polynomial is a monic quadratic (40 n), and the cyclic route
-    # once the representer is one, n >= 3 (38 n); at n = 2 the representer
-    # is linear with leading coefficient +-2, so the route takes the 2 x 2
+    # three routes and two explicit matrices per spec.  The Alexander
+    # polynomial is a palindromic quadratic, so the cover route takes
+    # M^n - u^n I for n >= 2 (39 n) and at n = 1 reads Z/|Delta(1)| with no
+    # reduction at all; the cyclic route takes it once the representer is
+    # a palindromic quadratic, n >= 3 (38 n).  At n = 2 the representer is
+    # linear with leading coefficient +-2, so the route takes the 2 x 2
     # circulant, and at n = 1 it is the unit 1, whose 0 x 0 matrix is
-    # reduced.  The other 40 * 4 * 5 - 4 * (40 + 38) reductions are Smith
-    # forms
-    assert len(checked_2x2) == 4 * (40 + 38)
-    assert len(checked) == 40 * 4 * 5 - 4 * (40 + 38)
+    # reduced.  So the Smith forms are the surgery matrix and the two
+    # explicit matrices at every n, and the cyclic route at n = 1 and 2
+    assert len(checked_power) == 4 * (39 + 38)
+    assert len(checked) == 4 * (3 * 40 + 2)
 
 
 def test_homology_routes_build_no_words(monkeypatch):
@@ -321,9 +325,9 @@ def test_takahashi_determinant_fibonacci_family_by_doubling():
 
 def test_small_side_routes_fibonacci_family_large_n():
     # H_1(M_n(1, -1)) is the homology of the n-fold cover branched over the
-    # figure-eight, Delta = t^2 - 3t + 1; both routes reduce a 2 x 2 matrix
-    # where the n x n one takes seconds, and with t^n mod f by doubling and
-    # the closed 2 x 2 Smith form n = 10^5 takes well under a second
+    # figure-eight, Delta = t^2 - 3t + 1; both routes take the closed form
+    # of a 2 x 2 power by doubling where the n x n matrix takes seconds, so
+    # n = 10^5 takes well under a second
     assert [lucas_by_doubling(k) for k in range(100)] == [lucas(k) for k in range(100)]
     delta = alexander_two_bridge(TwoBridge(5, 3))
     assert delta.poly == IntPoly((1, -3, 1))
@@ -517,6 +521,18 @@ def test_transfer_route_at_large_n():
     assert group.order() == lucas_by_doubling(2 * n) - 2
     group = h1_transfer(normalize_spec(n, Rational(2, 3), Rational(3, 2)))
     assert group.torsion[: n - 2] == (6,) * (n - 2) and group.free_rank == 0
+
+
+@pytest.mark.parametrize("n, pq, s", [(2000, (3, 2), 5), (2001, (7, 3), -4)],
+                         ids=["M_2000(3/2, 1/5)", "M_2001(7/3, 1/-4)"])
+def test_cyclic_route_at_qs_beyond_one_meets_the_transfer_and_resultant_routes(n, pq, s):
+    # the representer's leading coefficient is qs = 10 and -12, not a unit;
+    # the resultant by the remainder sequence shares no code with the
+    # cyclic and transfer routes
+    spec = normalize_spec(n, Rational(*pq), Rational(1, s))
+    group = h1_cyclic_route(spec)
+    assert group == h1_transfer(spec)
+    assert group.order() == representer_order(spec)
 
 
 @pytest.mark.parametrize("n, pq, rs", [(31, (3, 2), (-3, 1)), (40, (-2, 1), (2, 3))],

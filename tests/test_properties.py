@@ -63,6 +63,15 @@ def test_ring_quotient_is_the_circulant_cokernel(coeffs, n):
 
 
 @bounded
+@hypothesis.given(entries, st.integers(-40, 40), st.integers(1, 30))
+def test_palindromic_ring_quotient_is_the_circulant_cokernel(x, y, n):
+    hypothesis.assume(x)
+    f = IntPoly((x, y, x))
+    t_n_minus_1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+    assert ring_quotient(f, n) == cokernel(multiplication_matrix(f, t_n_minus_1))
+
+
+@bounded
 @hypothesis.given(entries, entries, st.integers(1, 30))
 def test_cover_route_is_the_cyclotomic_quotient(q, s, n):
     hypothesis.assume(q and s)
