@@ -14,9 +14,10 @@ remainder sequence.  One 2 x 2 kernel serves every n: M^n by doubling
 (_power_2x2) and the Smith factors of M^n - u^n I off the primes of u,
 for det M = u^2 (smith_power_2x2, prime_part).  It gives the surgery
 homology and Z[t]/(f, t^n - 1), taken by its n (ring_quotient), of a
-palindromic quadratic f (palindromic_quotient).  For other monic f, t^n
-mod f comes by doubling, and Res(t^n - 1, f) of a quadratic f by a Lucas
-sequence (lucas_resultant), each in O(log n) products.  `determinant`,
+palindromic quadratic f (palindromic_quotient).  For other monic f it is
+the cokernel of multiplication_matrix(t^n mod f - 1, f), t^n mod f by
+doubling, and Res(t^n - 1, f) of a quadratic f comes by a Lucas sequence
+(lucas_resultant), each in O(log n) products.  `determinant`,
 Bareiss' exact-division elimination, has no caller in the library.
 Every operation is a pure function, and the values are frozen dataclasses.
 A matrix's rows are read-only by contract and the reductions copy them
@@ -240,34 +241,35 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
     the nonzero factors equals the absolute value of the product of the
     elementary divisors of the input.
 
-    Step k pivots in column k.  A row below k with entry v there is folded
-    into row k, in ascending order: a multiple of row k is subtracted when
-    the pivot p divides v, and otherwise both rows are replaced by
-    [[s, t], [-v/g, p/g]] times them, where s*p + t*v = g = gcd(p, v).
-    Row k is then cleared by the same operations on columns, in ascending
-    order.  A column operation that refills column k repeats the step;
-    each one that does replaces the pivot by a proper divisor, so the step
-    ends.  A pivot of +-1 once the folds are done ends the step at once:
-    it divides every entry of row k, which the column phase would only
-    drop.  Rows are swapped only for a zero pivot, and columns only when
-    column k is zero from row k down.
+    Step k pivots in row k, at the next column c with a nonzero from row
+    k down; a zero at (k, c) swaps in the first row below with a nonzero
+    there, and no column is ever swapped.  The columns passed over stay
+    zero: a fold copies entries only where the pivot row is nonzero, and
+    a column operation combines column c only with later columns.  A row
+    below k with entry v in column c is folded into row k, in ascending
+    order: a multiple of row k is subtracted when the pivot p divides v,
+    and otherwise both rows are replaced by [[s, t], [-v/g, p/g]] times
+    them, where s*p + t*v = g = gcd(p, v).  Row k is then cleared by the
+    same operations on columns, in ascending order.  A column operation
+    that refills column c repeats the step; each one that does replaces
+    the pivot by a proper divisor, so the step ends.  A pivot of +-1 once
+    the folds are done ends the step at once: it divides every entry of
+    row k, which the column phase would only drop.
 
     The rows are copied as {column: value} dicts, and a column index,
     below[j], holds the rows past the pivot row with a nonzero in column
     j; every write that makes an entry nonzero or zero updates it.  Before
-    step k, rows and columns 0..k-1 are zero off the diagonal, so a step
-    visits only the rows listed under column k and the pivot row's
-    nonzeros, never a zero:
+    step k, rows 0..k-1 and the columns before c are zero but for the
+    earlier pivots, so a step visits only the rows listed under column c
+    and the pivot row's nonzeros, never a zero:
 
     - a subtraction visits the pivot row's nonzeros alone, since a zero
       there leaves the target entry as it is, and a 2x2 operation the
       nonzeros of its two rows;
-    - once column k is clear, subtracting q times it from column j
+    - once column c is clear, subtracting q times it from column j
       changes row k alone, so the column phase drops the entry of row k,
       and an extended-gcd column operation touches only the rows listed
-      under column j;
-    - a zero pivot looks for the first nonempty column from k on, past
-      the columns an earlier swap left zero.
+      under column j.
 
     On the surgery matrix, whose rows hold three nonzeros, the fill stays
     in the band and the wrap-around rows and columns, so a step costs
@@ -283,45 +285,33 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
         for j in row:
             below[j].add(i)
     pivots = []
-    # columns k+1..j left zero by a column swap at step k stay zero, so
-    # the search for a nonzero column may start past them
-    first = 0
-    for k in range(min(nrows, ncols)):
-        if k not in a[k]:
-            for j in range(max(k, first), ncols):
-                if below[j]:
-                    break
-            else:
-                break
-            i = min(below[j])
-            if j != k:
-                first = j + 1
-                for row in (a[t] for t in below[k] | below[j]):
-                    x, y = row.pop(k, 0), row.pop(j, 0)
-                    if x:
-                        row[j] = x
-                    if y:
-                        row[k] = y
-                below[k], below[j] = below[j], below[k]
-            if i != k:
-                for t in (i, k):
-                    for j in a[t]:
-                        below[j].discard(t)
-                a[k], a[i] = a[i], a[k]
-                for j in a[i]:
-                    below[j].add(i)
+    for c in range(ncols):
+        k = len(pivots)  # the pivot row
+        if k == nrows:
+            break
+        if c not in a[k]:
+            # column c is zero from row k down, and no later step fills it
+            if not below[c]:
+                continue
+            i = min(below[c])
+            for t in (i, k):
+                for j in a[t]:
+                    below[j].discard(t)
+            a[k], a[i] = a[i], a[k]
+            for j in a[i]:
+                below[j].add(i)
         pk = a[k]
         for j in pk:
             below[j].discard(k)
         # p is the pivot and pk holds the rest of row k
-        p = pk.pop(k)
+        p = pk.pop(c)
         while True:
-            # a fold writes column k of no other row, so below[k] holds
+            # a fold writes column c of no other row, so below[c] holds
             # still while it is read
-            rows = below[k]
+            rows = below[c]
             for i in sorted(rows) if len(rows) > 1 else rows:
                 row = a[i]
-                v = row.pop(k)
+                v = row.pop(c)
                 if v % p:
                     g, s, t = _xgcd(p, v)
                     u, w = -v // g, p // g
@@ -353,12 +343,12 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
                         else:
                             del row[j]
                             below[j].discard(i)
-            below[k].clear()
+            below[c].clear()
             # a unit pivot divides every entry of row k, which the column
             # phase would only drop
             if p == 1 or p == -1:
                 break
-            # column k is now zero below row k, so subtracting q times it
+            # column c is now zero below row k, so subtracting q times it
             # from column j changes row k alone
             for j in sorted(pk) if len(pk) > 1 else tuple(pk):
                 x = pk.pop(j)
@@ -371,8 +361,8 @@ def smith_normal_form(m: BigIntMatrix) -> SnfResult:
                     for i in below[j]:
                         row = a[i]
                         y = row[j]
-                        row[k], row[j] = t * y, w * y
-                    below[k].update(below[j])
+                        row[c], row[j] = t * y, w * y
+                    below[c].update(below[j])
                     break
             else:
                 break
@@ -537,8 +527,6 @@ def poly_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     dg = g.degree
     gl = g.coeffs[-1]
     rem = list(f.coeffs)
-    if len(rem) < len(g.coeffs):
-        return IntPoly(()), f
     quo = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i]
@@ -645,24 +633,18 @@ def _monic_up_to_sign(f: IntPoly) -> bool:
 def multiplication_matrix(f: IntPoly, g: IntPoly) -> BigIntMatrix:
     """Matrix of multiplication by f on Z[t]/(g), for g monic up to sign.
 
-    Row k is f * t^k mod g, k < deg g, so the cokernel is Z[t]/(f, g) and
-    |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.  The
-    tests build it as the plain route to the groups of ring_quotient.
+    Row k is f * t^k mod g, k < d = deg g, so the cokernel is Z[t]/(f, g)
+    and |det| = |resultant(f, g)|; a constant g gives the 0 x 0 matrix.
+    Each row is t times the last: a shift whose top coefficient c, when
+    nonzero, adds -lc(g) * c * g_i at each nonzero lower term g_i of g,
+    since t^d = -lc(g) * (g - lc(g) t^d).  ring_quotient's monic branch
+    and the tests' plain route to its groups both build their rows here.
     """
     if not _monic_up_to_sign(g):
         raise ValueError("the modulus must be monic up to sign")
-    return BigIntMatrix.from_rows(_multiples(poly_divmod(f, g)[1].coeffs, g), ncols=g.degree)
-
-
-def _multiples(r: Iterable[int], g: IntPoly) -> list[list[int]]:
-    """The coefficient rows of r, t r, ..., t^(d-1) r mod g, d = deg g, for
-    g monic up to sign and deg r < d.  Each row is t times the last: a
-    shift whose top coefficient c, when nonzero, adds -lc(g) * c * g_i at
-    each nonzero lower term g_i of g, since
-    t^d = -lc(g) * (g - lc(g) t^d)."""
     d = g.degree
     wrap = [(i, -g.coeffs[-1] * c) for i, c in enumerate(g.coeffs[:-1]) if c]
-    row = list(r)
+    row = list(poly_divmod(f, g)[1].coeffs)
     row += [0] * (d - len(row))
     rows = []
     for _ in range(d):
@@ -672,7 +654,7 @@ def _multiples(r: Iterable[int], g: IntPoly) -> list[list[int]]:
         if top:
             for i, w in wrap:
                 row[i] += top * w
-    return rows
+    return BigIntMatrix.from_rows(rows, ncols=d)
 
 
 def _power_mod(m: int, f: IntPoly) -> list[int]:
@@ -680,35 +662,22 @@ def _power_mod(m: int, f: IntPoly) -> list[int]:
     sign; empty when f is constant.
 
     Binary powering (Knuth, TAOCP Vol. 2, Sec. 4.6.3), reading the bits of
-    m from the top: P_2m = P_m^2, then on a set bit P_(m+1) = t P_m.  That
-    is O(log m) products of polynomials of degree below deg f, where long
-    division makes a pass of length m.
+    m from the top: P_2m = P_m^2, then on a set bit P_(m+1) = t P_m, and
+    poly_divmod reduces each step.  That is O(log m) products of
+    polynomials of degree below deg f, where long division of t^m makes a
+    pass of length m.
     """
-    c, d = f.coeffs, f.degree
-    if not d:
-        return []
-    lc = c[-1]
-
-    def reduce(a: list[int]) -> list[int]:
-        # t^i = t^(i-d) (t^d - lc f), and lc = 1/lc
-        for i in range(len(a) - 1, d - 1, -1):
-            if x := a[i] * lc:
-                for j in range(d):
-                    a[i - d + j] -= x * c[j]
-        del a[d:]
-        return a
-
-    p = [1] + [0] * (d - 1)
+    p: tuple[int, ...] = (1,)
     for bit in bin(m)[2:]:
-        out = [0] * (2 * d - 1)
+        out = [0] * (2 * len(p) - 1)
         for i, x in enumerate(p):
             if x:
                 for j, y in enumerate(p):
                     out[i + j] += x * y
-        p = reduce(out)
         if bit == "1":
-            p = reduce([0, *p])
-    return p
+            out.insert(0, 0)
+        p = poly_divmod(IntPoly(tuple(out)), f)[1].coeffs
+    return list(p) + [0] * (f.degree - len(p))
 
 
 def _power_2x2(m: tuple[int, int, int, int], n: int) -> tuple[int, int, int, int]:
@@ -821,9 +790,9 @@ def ring_quotient(f: IntPoly, n: int) -> AbelianGroup:
 
     - f = x t^2 + y t + x, at any x: palindromic_quotient, from a 2 x 2
       power, whose n - 2 equal factors are built only when they exceed 1;
-    - any other f monic up to sign: row k of C^n is t^(n+k) mod f, from
-      t^n mod f by doubling (_power_mod), and C^n - I goes to
-      smith_normal_form; a unit f gives the 0 x 0 matrix;
+    - any other f monic up to sign: t^n mod f by doubling (_power_mod),
+      then C^n - I is multiplication_matrix(t^n mod f - 1, f), which goes
+      to smith_normal_form; a unit f gives the 0 x 0 matrix;
     - the zero f, a non-unit constant or any other non-monic f: the sparse
       n x n circulant (_circulant) goes to smith_normal_form.
 
@@ -838,10 +807,10 @@ def ring_quotient(f: IntPoly, n: int) -> AbelianGroup:
         return _group(factors, len(factors))
     if not _monic_up_to_sign(f):
         return cokernel(_circulant(f, n))
-    rows = _multiples(_power_mod(n, f), f)
-    for k, row in enumerate(rows):
-        row[k] -= 1
-    return cokernel(BigIntMatrix.from_rows(rows, ncols=len(rows)))
+    r = _power_mod(n, f)
+    if r:
+        r[0] -= 1
+    return cokernel(multiplication_matrix(IntPoly(tuple(r)), f))
 
 
 def normalize_up_to_units(f: "IntPoly | Mapping[int, int]") -> IntPoly:

@@ -177,11 +177,12 @@ def h1_transfer(spec: TakahashiSpec) -> AbelianGroup:
     of A(t) = [[q(1 - t), -r], [pt, s(1 - t)]], and det A(t) = f =
     qs t^2 + (pr - 2qs) t + qs.  The cases:
 
-    - p = r = 0: Z^2.  qs = 0: (Z/|pr|)^n, where pr = 0 gives Z^n.
+    - qs = 0: (Z/|pr|)^n, where pr = 0 gives Z^n.
     - At a prime that does not divide qs, the relators solve for period
       i + 1, so that part is coker(T^n - (qs)^n I) with
       T = [[qs, -rs], [pq, qs - pr]] (exactalg.smith_power_2x2, which
-      removes the primes of qs).
+      removes the primes of qs).  At p = r = 0, where q = s = 1, T = I
+      and the group is Z^2.
     - At a prime of qs, which divides at most one of p and r, pt or -r is
       a unit and the part is that of Z[t]/(f, t^n - 1)
       (exactalg.palindromic_quotient, which h1_cyclic_route also uses).
@@ -195,9 +196,7 @@ def h1_transfer(spec: TakahashiSpec) -> AbelianGroup:
     """
     n, p, q, r, s = spec.n, spec.pq.num, spec.pq.den, spec.rs.num, spec.rs.den
     qs, pr = q * s, p * r
-    if p == r == 0:
-        c, tail = 1, [0, 0]
-    elif qs == 0:
+    if qs == 0:
         c, tail = abs(pr), []
     else:
         c = math.gcd(qs, pr)

@@ -231,7 +231,8 @@ def test_snf_matches_gcd_pivot_oracle_large(kind):
     # sizes past the random kinds above, where the column index sees fill
     # spread over many rows and columns.  banded: offsets -1..2 with zeros
     # in the band and wrap-around corners like the surgery matrix's;
-    # sparse: whole rows and columns zero, so zero pivots swap often
+    # sparse: whole rows and columns zero, so zero pivots swap rows and
+    # zero columns are passed over often
     rng = random.Random(f"snf-large-{kind}")
     for _ in range(150):
         nr = rng.randint(13, 40)

@@ -409,6 +409,17 @@ def test_non_monic_genus_one_covers_at_large_n(q, s):
         assert order is not None and order == branched_cover_order(delta, n), (q, s, n)
 
 
+@pytest.mark.parametrize("alpha, beta", [(5, 1), (7, 1), (11, 3), (13, 5)])
+def test_monic_covers_of_degree_four_and_up_at_large_n(alpha, beta):
+    # Delta monic of degree 4 or 6: t^n mod Delta by doubling, then its
+    # multiplication matrix; the resultant route shares no code with it
+    delta = alexander_two_bridge(TwoBridge(alpha, beta))
+    assert delta.poly.coeffs[-1] in (1, -1) and delta.poly.degree >= 4
+    for n in range(2000, 2004):
+        order = branched_cover_homology(delta, n).order()
+        assert order == branched_cover_order(delta, n), (alpha, beta, n)
+
+
 def test_small_side_routes_match_n_by_n_matrices():
     # the routes reduce the degree-2 side when it is a palindromic quadratic
     # or monic up to sign; the n x n matrices of the degree-n side give the

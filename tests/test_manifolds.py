@@ -361,8 +361,7 @@ def test_surgery_route_on_the_unit_family_at_large_n(n):
 def test_surgery_route_infinite_coefficient_at_large_n():
     # M_n(inf, 3) = (Z/3)^n: n equal factors, which pairwise gcd/lcm
     # passes would order in n^2 / 2 steps; M_n(inf, 0) = Z^n: half the
-    # rows are zero, and each zero pivot swaps in a column past the ones
-    # earlier swaps left zero
+    # rows are zero, and the pivots pass over the zero columns in place
     n = 10**4
     group = h1_takahashi(normalize_spec(n, Rational(1, 0), Rational(3, 1)))
     assert group == AbelianGroup((3,) * n)
@@ -493,7 +492,8 @@ def test_transfer_route_on_a_grid_that_holds_every_claims_grid():
 def test_transfer_route_on_random_specs_of_every_case():
     # numerators and denominators up to 12, each multiplied by 2, 3 or 6 with
     # probability 1/2 so that qs and pr share primes; q or s is set to 0
-    # and p = r = 0 often enough that each case of h1_transfer is met
+    # and p = r = 0, which h1_transfer's general rule covers, often enough
+    # that each case is met
     rng = random.Random(4242)
     cases = Counter()
     while min(cases[c] for c in ("gcd(qs, pr) > 1", "qs = 0", "p = r = 0", "n = 1", "n = 2")) < 60:
@@ -510,6 +510,10 @@ def test_transfer_route_on_random_specs_of_every_case():
         cases["p = r = 0" if p == r == 0 else "qs = 0" if q * s == 0 else
               "gcd(qs, pr) > 1" if math.gcd(q * s, p * r) > 1 else "other"] += 1
         cases[f"n = {spec.n}"] += 1
+    # M_n(0, 0) = Z^2 at every n: T = I, so both factors off qs are 0
+    for n in (1, 2, 10**5):
+        spec = normalize_spec(n, Rational(0, 1), Rational(0, 1))
+        assert h1_transfer(spec) == AbelianGroup((), 2), spec
 
 
 def test_transfer_route_at_large_n():
