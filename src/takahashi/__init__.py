@@ -31,7 +31,6 @@ from .grouppres import (
     free_reduce,
     relator_identity_check,
     representer_polynomial,
-    takahashi_blocks,
     takahashi_matrix,
     takahashi_presentation,
 )

@@ -180,23 +180,34 @@ def _claim_p4_grid() -> ClaimReport:
 
 
 def _claim_sym_grid() -> ClaimReport:
-    # the grid is closed under the symmetries, so each spec's H_1 is
-    # computed once and every variant is looked up
-    h1 = {spec: h1_takahashi(spec) for spec in grid_specs(3, range(1, 6))}
-
-    def invariant(spec):
+    # the symmetries act on the coefficients alone, so each coefficient
+    # pair's images are found once, as positions in the pair list, and each
+    # n compares every spec's H_1 with the groups at those positions
+    values = grid_rationals(3)
+    pairs = [(a, b) for a in values for b in values]
+    base = [normalize_spec(1, a, b) for a, b in pairs]
+    position = {spec: k for k, spec in enumerate(base)}
+    images = []
+    for spec in base:
         variants = symmetry_variants(spec)
-        missing = [v for v in variants if v not in h1]
+        missing = [v for v in variants if v not in position]
         if missing:
             raise AssertionError(f"SYM grid is not closed under the symmetries: {missing[0]}")
-        return all(h1[v] == h1[spec] for v in variants)
+        images.append([position[v] for v in variants])
+
+    def points():
+        for n in range(1, 6):
+            specs = [normalize_spec(n, a, b) for a, b in pairs]
+            h1 = [h1_takahashi(spec) for spec in specs]
+            for spec, group, ks in zip(specs, h1, images):
+                yield spec, all(h1[k] == group for k in ks)
 
     return _grid_claim(
         "SYM-grid",
         "H1 invariance under (p/q,r/s) -> (-p/q,-r/s) and (r/s,p/q) for n <= 5 "
         "and coefficient entries bounded by 3",
         "specs invariant",
-        ((spec, invariant(spec)) for spec in h1),
+        points(),
     )
 
 

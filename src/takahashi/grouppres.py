@@ -19,7 +19,6 @@ __all__ = [
     "abelianize",
     "takahashi_presentation",
     "takahashi_matrix",
-    "takahashi_blocks",
     "cyclic_presentation",
     "cyclic_presentation_rewritten",
     "relator_identity_check",
@@ -63,17 +62,22 @@ _Letters = tuple[tuple[int, int], ...]
 def _reduce(letters: Iterable[tuple[int, int]]) -> _Letters:
     """Freely reduced letters; zero-exponent letters are skipped, since the
     relator generators below may emit them."""
-    stack: list[list[int]] = []
+    gens: list[int] = []
+    exps: list[int] = []
     for g, e in letters:
         if not e:
             continue
-        if stack and stack[-1][0] == g:
-            stack[-1][1] += e
-            if stack[-1][1] == 0:
-                stack.pop()
+        if gens and gens[-1] == g:
+            e += exps[-1]
+            if e:
+                exps[-1] = e
+            else:
+                gens.pop()
+                exps.pop()
         else:
-            stack.append([g, e])
-    return tuple((g, e) for g, e in stack)
+            gens.append(g)
+            exps.append(e)
+    return tuple(zip(gens, exps))
 
 
 def free_reduce(w: Word) -> Word:
@@ -175,22 +179,6 @@ def takahashi_matrix(n: int, pq: Rational, rs: Rational) -> BigIntMatrix:
     if not (p and q and r and s):
         rows = [{g: e for g, e in row.items() if e} for row in rows]
     return BigIntMatrix(m, m, tuple(rows))
-
-
-def takahashi_blocks(pq: Rational, rs: Rational) -> tuple[BigIntMatrix, BigIntMatrix]:
-    """The 2x2 blocks (A0, A1) of one period of the surgery relation matrix.
-
-    Relators 2i-1 and 2i touch only the generator pairs of periods i and
-    i + 1, so the 2n x 2n matrix is block-circulant: I (x) A0 + P (x) A1,
-    with P the n-cycle shift.  The blocks are summed from the first two
-    relators at n = 2, where no subscript wraps, with block index g // 2;
-    they do not depend on n, and at n = 1 the matrix is A0 + A1.
-    """
-    blocks = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    for row, letters in zip((0, 1), _takahashi_relators(2, pq, rs)):
-        for g, e in letters:
-            blocks[g // 2][row][g % 2] += e
-    return BigIntMatrix.from_rows(blocks[0]), BigIntMatrix.from_rows(blocks[1])
 
 
 def _power(letters: _Letters, k: int) -> _Letters:

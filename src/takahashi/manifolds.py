@@ -157,8 +157,9 @@ def takahashi_determinant(spec: TakahashiSpec) -> int:
     homology is finite, and det = 0 exactly when it is infinite.
 
     The matrix is block-circulant, I (x) A0 + P (x) A1 with P the n-cycle
-    shift (grouppres.takahashi_blocks), so its determinant is the product
-    of det(A0 + w A1) over the n-th roots of unity w, which is
+    shift and A0 = [[q, -r], [0, s]], A1 = [[-q, 0], [p, -s]] the blocks
+    of one period (rows 2i and 2i+1 of the band), so its determinant is
+    the product of det(A0 + w A1) over the n-th roots of unity w, which is
     Res(t^n - 1, f) for f = det(A0 + A1 t) = qs t^2 + (pr - 2qs) t + qs.
     For f = a t^2 + b t + c that is a^n + c^n - V_n, with V_n the Lucas
     sequence V_n(-b, ac) (exactalg.lucas_resultant), read straight from

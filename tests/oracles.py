@@ -9,6 +9,9 @@ gcd_pivot_snf is a Smith reduction too, but with a different pivot rule
 from the library's: the smallest entry of the whole trailing block,
 restarting on every remainder; it orders the diagonal by the pairwise
 gcd/lcm passes of pairwise_chain.
+naive_free_reduce reduces a word by rescanning it from the start after
+every merge; takahashi_blocks reads one period of the surgery matrix off
+the relator letters rather than off the band that takahashi_matrix states.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+
+from takahashi.grouppres import _takahashi_relators
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -303,3 +308,32 @@ def pairwise_chain(diag: list[int]) -> tuple[int, ...]:
             diag[i], diag[j] = g, (x // g) * y
     return tuple(diag)
 
+
+def naive_free_reduce(letters) -> tuple[tuple[int, int], ...]:
+    """Freely reduced letters: zero exponents dropped, then the first
+    adjacent pair on one generator merged (or cancelled, when the exponents
+    sum to zero) until no such pair is left."""
+    w = [(g, e) for g, e in letters if e]
+    while True:
+        i = next((i for i in range(len(w) - 1) if w[i][0] == w[i + 1][0]), None)
+        if i is None:
+            return tuple(w)
+        e = w[i][1] + w[i + 1][1]
+        w[i : i + 2] = [(w[i][0], e)] if e else []
+
+
+def takahashi_blocks(pq, rs) -> tuple[list[list[int]], list[list[int]]]:
+    """The 2 x 2 blocks (A0, A1) of one period of the surgery relation
+    matrix, as lists of rows.
+
+    Relators 2i-1 and 2i touch only the generator pairs of periods i and
+    i + 1, so the 2n x 2n matrix is block-circulant: I (x) A0 + P (x) A1,
+    with P the n-cycle shift.  The blocks are summed from the first two
+    relators at n = 2, where no subscript wraps, with block index g // 2;
+    they do not depend on n, and at n = 1 the matrix is A0 + A1.
+    """
+    blocks = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for row, letters in zip((0, 1), _takahashi_relators(2, pq, rs)):
+        for g, e in letters:
+            blocks[g // 2][row][g % 2] += e
+    return blocks[0], blocks[1]

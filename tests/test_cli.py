@@ -386,17 +386,30 @@ def test_verify_paper_exit_code_1_on_failure(capsys, monkeypatch):
     assert "1 failed" in out
 
 
-@pytest.mark.parametrize("n, failing", [
-    (1, {"L1-grid": "255 of 256 pairs agree", "SYM-grid": "1276 of 1280 specs invariant"}),
-    (3, {"P4-grid": "244 of 245 points agree", "SYM-grid": "1276 of 1280 specs invariant"}),
+@pytest.mark.parametrize("n, pq, rs, failing", [
+    # M_n(1/-3, 1/-2) is the first spec of its orbit of four in grid order
+    (1, Rational(1, -3), Rational(1, -2), {
+        "L1-grid": "255 of 256 pairs agree; first failure at M_1(1/-3, 1/-2)",
+        "SYM-grid": "1276 of 1280 specs invariant; first failure at M_1(1/-3, 1/-2)"}),
+    (3, Rational(1, -3), Rational(1, -2), {
+        "P4-grid": "244 of 245 points agree; first failure at M_3(1/-3, 1/-2)",
+        "SYM-grid": "1276 of 1280 specs invariant; first failure at M_3(1/-3, 1/-2)"}),
+    # an orbit of two, M_2(1, 1) and M_2(-1, -1), whose first spec in grid
+    # order is the image, not the spec made wrong
+    (2, Rational(1, 1), Rational(1, 1), {
+        "P4-grid": "244 of 245 points agree; first failure at M_2(1, 1)",
+        "SYM-grid": "1278 of 1280 specs invariant; first failure at M_2(1/-1, 1/-1)"}),
+    # an infinite coefficient, which P4 and L1 do not reach at n = 4
+    (4, Rational(1, 0), Rational(2, 3), {
+        "SYM-grid": "1276 of 1280 specs invariant; first failure at M_4(inf, 2/-3)"}),
 ])
-def test_failing_grid_claim_names_its_first_failing_point(capsys, monkeypatch, n, failing):
-    # H_1 made wrong at M_n(1/-3, 1/-2), the first spec of its symmetry
-    # orbit in grid order, and the EQ1 identity made to fail at one point
+def test_failing_grid_claim_names_its_first_failing_point(capsys, monkeypatch, n, pq, rs, failing):
+    # H_1 made wrong at M_n(pq, rs), and the EQ1 identity made to fail at
+    # one point
     from takahashi import claims
     from takahashi.manifolds import normalize_spec
 
-    bad_spec = normalize_spec(n, Rational(1, -3), Rational(1, -2))
+    bad_spec = normalize_spec(n, pq, rs)
     real_h1, real_identity = claims.h1_takahashi, claims.relator_identity_check
 
     def wrong_h1(spec):
@@ -408,8 +421,7 @@ def test_failing_grid_claim_names_its_first_failing_point(capsys, monkeypatch, n
 
     monkeypatch.setattr(claims, "h1_takahashi", wrong_h1)
     monkeypatch.setattr(claims, "relator_identity_check", wrong_identity)
-    expected = {cid: f"{counts}; first failure at M_{n}(1/-3, 1/-2)"
-                for cid, counts in failing.items()}
+    expected = dict(failing)
     expected["EQ1-identity"] = "1469 of 1470 identities hold; first failure at (2, -1, 3, 2)"
     rc, out, _ = run(capsys, "verify-paper", "--json")
     assert rc == 1

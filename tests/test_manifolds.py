@@ -20,7 +20,6 @@ from takahashi.grouppres import (
     abelianize,
     cyclic_presentation,
     representer_polynomial,
-    takahashi_blocks,
     takahashi_matrix,
     takahashi_presentation,
 )
@@ -43,7 +42,7 @@ from takahashi.manifolds import (
     takahashi_determinant,
 )
 
-from oracles import crt_det, gcd_pivot_snf, rank_mod_p
+from oracles import crt_det, gcd_pivot_snf, rank_mod_p, takahashi_blocks
 
 
 def t_n_minus_1(n):
@@ -278,8 +277,7 @@ def test_determinant_polynomial_is_that_of_the_blocks():
     # off the spec, and the Lucas sequence gives its resultant with t^n - 1
     for spec in grid_specs(4, range(1, 13)):
         (a0, b0), (c0, d0), (a1, b1), (c1, d1) = (
-            (row.get(0, 0), row.get(1, 0)) for m in takahashi_blocks(spec.pq, spec.rs)
-            for row in m.entries)
+            row for block in takahashi_blocks(spec.pq, spec.rs) for row in block)
         f = IntPoly((a0 * d0 - b0 * c0, a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0, a1 * d1 - b1 * c1))
         qs, pr = spec.pq.den * spec.rs.den, spec.pq.num * spec.rs.num
         assert f == IntPoly((qs, pr - 2 * qs, qs)), spec
